@@ -149,28 +149,10 @@ func RunProgram(prog Program, kind Kind, mode PrefetchMode, cfg Config) (*Result
 	return m.Run(prog)
 }
 
-// Parallelize wraps a program for pipelined op-stream generation (the
-// -par parallel fast path): application threads generate their operation
-// streams on plain goroutines while the deterministic event engine
-// replays them, producing byte-identical results to a serial run. The
-// seed must be the cfg.Seed the program will run with.
-func Parallelize(prog Program, cfg Config) Program {
-	return workload.Pipeline(prog, cfg.Seed)
-}
-
 // NewMachine exposes machine construction for callers that need access to
 // the substrate state after a run (e.g. disk or ring statistics).
 func NewMachine(cfg Config, kind Kind, mode PrefetchMode) (*machine.Machine, error) {
 	return machine.New(cfg, kind, mode)
-}
-
-// NewPDESMachine builds a machine for windowed PDES execution on a shard
-// group of the given width (the -pdes N path). Results are byte-identical
-// to NewMachine for every configuration and fault plan; see
-// machine.NewPDES for the lookahead derivation that decides the
-// node→shard mapping.
-func NewPDESMachine(cfg Config, kind Kind, mode PrefetchMode, shards int) (*machine.Machine, error) {
-	return machine.NewPDES(cfg, kind, mode, shards)
 }
 
 // Cell identifies one simulation of the evaluation space completely: a
@@ -203,27 +185,12 @@ type Cell struct {
 	// hits run no machine).
 	Obs func(Cell, *machine.Machine) `json:"-"`
 
-	// Par runs the cell with pipelined op-stream generation (the -par
-	// parallel fast path; see workload.Pipelined). Excluded from Key on
-	// purpose: a parallel run is byte-identical to a serial one, so
-	// either may serve a memoized request for the other.
-	Par bool `json:"-"`
-
-	// Pdes, when >= 1, runs the cell under windowed PDES execution on a
-	// shard group of that width (machine.NewPDES; composes with Par —
-	// generation pipelining and engine sharding are independent layers).
-	// Excluded from Key for the same reason as Par: a PDES run is
-	// byte-identical to a serial one by construction, so either may
-	// serve a memoized request for the other.
-	Pdes int `json:"-"`
-
 	// Probe, when non-nil, is the supervision progress probe attached to
 	// the machine before the run (machine.AttachProgress): the engine
 	// publishes its clock through it and honors watchdog aborts at probe
 	// boundaries. Excluded from Key on purpose: supervision never
 	// changes a result — an aborted cell produces an error, not a
-	// Result, so nothing wrong is ever memoized. Serial engines only
-	// (see machine.AttachProgress for the PDES caveat).
+	// Result, so nothing wrong is ever memoized.
 	Probe *sim.Progress `json:"-"`
 }
 
@@ -233,19 +200,11 @@ func (c Cell) Run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.Par {
-		prog = workload.Pipeline(prog, c.Cfg.Seed)
-	}
 	kind := c.Kind
 	if c.RRDrain {
 		kind = NWCache
 	}
-	var m *machine.Machine
-	if c.Pdes >= 1 {
-		m, err = machine.NewPDES(c.Cfg, kind, c.Mode, c.Pdes)
-	} else {
-		m, err = machine.New(c.Cfg, kind, c.Mode)
-	}
+	m, err := machine.New(c.Cfg, kind, c.Mode)
 	if err != nil {
 		return nil, err
 	}

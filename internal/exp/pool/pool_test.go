@@ -121,7 +121,7 @@ func TestParallelResultsMatchSerial(t *testing.T) {
 
 func TestRunSeedsMatchesSequential(t *testing.T) {
 	cfg := fastCfg() // em3d is seed-randomized, so the aggregate is nontrivial
-	got, err := RunSeeds(New(4), "em3d", core.NWCache, core.Optimal, cfg, 3, false, 0)
+	got, err := RunSeeds(New(4), "em3d", core.NWCache, core.Optimal, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

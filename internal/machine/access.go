@@ -14,73 +14,27 @@ import (
 // Ctx is the execution context handed to one application thread. All
 // methods must be called from that thread's simulation process. Its
 // operations charge the owning processor's execution-time breakdown.
-//
-// A Ctx can also be a pure recorder (see NewRecordingCtx): rec is then
-// non-nil and every operation is captured as an OpEvent instead of being
-// simulated. The rec check is one predicted-not-taken branch per
-// operation in the normal (simulating) mode — the same cost class as the
-// existing OpLog hook check.
 type Ctx struct {
 	m   *Machine
 	n   *Node
 	p   *sim.Proc
 	rng *rand.Rand
-
-	rec      func(OpEvent) // non-nil: recording mode, no simulation
-	recProc  int
-	recProcs int
-}
-
-// NewRecordingCtx returns a Ctx that records operations instead of
-// simulating them: each call to Compute/Touch/Barrier/... forwards one
-// OpEvent to sink and returns immediately. The PRNG stream is seeded
-// exactly as Machine.Run seeds thread proc's, so a program replayed from
-// the recording makes identical random choices. Now and Machine panic in
-// this mode — a recordable program must be time-oblivious (the premise
-// of the parallel fast path; see workload.Pipelined).
-func NewRecordingCtx(proc, procs int, seed int64, sink func(OpEvent)) *Ctx {
-	return &Ctx{
-		rec:      sink,
-		recProc:  proc,
-		recProcs: procs,
-		rng:      rand.New(rand.NewSource(seed + int64(proc)*1_000_003)),
-	}
 }
 
 // Proc returns this thread's index (== node id).
-func (c *Ctx) Proc() int {
-	if c.rec != nil {
-		return c.recProc
-	}
-	return c.n.ID
-}
+func (c *Ctx) Proc() int { return c.n.ID }
 
 // Procs returns the number of application threads (== nodes).
-func (c *Ctx) Procs() int {
-	if c.rec != nil {
-		return c.recProcs
-	}
-	return c.m.Cfg.Nodes
-}
+func (c *Ctx) Procs() int { return c.m.Cfg.Nodes }
 
 // Rand returns this thread's deterministic PRNG.
 func (c *Ctx) Rand() *rand.Rand { return c.rng }
 
 // Now returns the current simulation time.
-func (c *Ctx) Now() sim.Time {
-	if c.rec != nil {
-		panic("machine: Ctx.Now is unavailable in recording mode (the program must be time-oblivious)")
-	}
-	return c.p.Now()
-}
+func (c *Ctx) Now() sim.Time { return c.p.Now() }
 
 // Machine returns the machine the context runs on.
-func (c *Ctx) Machine() *Machine {
-	if c.rec != nil {
-		panic("machine: Ctx.Machine is unavailable in recording mode")
-	}
-	return c.m
-}
+func (c *Ctx) Machine() *Machine { return c.m }
 
 // charge records d pcycles against category cat for this CPU.
 func (n *Node) charge(cat stats.Category, d int64) {
@@ -96,10 +50,6 @@ func (c *Ctx) Compute(cycles int64) {
 	if cycles <= 0 {
 		return
 	}
-	if c.rec != nil {
-		c.rec(OpEvent{Kind: OpCompute, Cycles: cycles})
-		return
-	}
 	c.logOp(OpEvent{Kind: OpCompute, Cycles: cycles})
 	c.p.Sleep(cycles)
 }
@@ -107,10 +57,6 @@ func (c *Ctx) Compute(cycles int64) {
 // Barrier joins the machine-wide application barrier. A barrier is a
 // release operation: pending buffered writes are fenced first.
 func (c *Ctx) Barrier() {
-	if c.rec != nil {
-		c.rec(OpEvent{Kind: OpBarrier})
-		return
-	}
 	c.logOp(OpEvent{Kind: OpBarrier})
 	c.drainInterrupts()
 	if c.n.WB != nil {
@@ -121,10 +67,6 @@ func (c *Ctx) Barrier() {
 
 // LockAcquire takes application lock id (created on demand).
 func (c *Ctx) LockAcquire(id int) {
-	if c.rec != nil {
-		c.rec(OpEvent{Kind: OpLockAcquire, Lock: id})
-		return
-	}
 	c.logOp(OpEvent{Kind: OpLockAcquire, Lock: id})
 	c.drainInterrupts()
 	c.m.Lock(id).Lock(c.p)
@@ -133,10 +75,6 @@ func (c *Ctx) LockAcquire(id int) {
 // LockRelease releases application lock id. A release operation fences
 // pending buffered writes first (Release Consistency).
 func (c *Ctx) LockRelease(id int) {
-	if c.rec != nil {
-		c.rec(OpEvent{Kind: OpLockRelease, Lock: id})
-		return
-	}
 	c.logOp(OpEvent{Kind: OpLockRelease, Lock: id})
 	if c.n.WB != nil {
 		c.n.WB.fence(c.p)
@@ -166,10 +104,6 @@ func (c *Ctx) drainInterrupts() {
 func (c *Ctx) Touch(page PageID, sub, lines int, write bool) {
 	if lines < 1 {
 		lines = 1
-	}
-	if c.rec != nil {
-		c.rec(OpEvent{Kind: OpTouch, Page: page, Sub: sub, Lines: lines, Write: write})
-		return
 	}
 	c.logOp(OpEvent{Kind: OpTouch, Page: page, Sub: sub, Lines: lines, Write: write})
 	m, n, p := c.m, c.n, c.p

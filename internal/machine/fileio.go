@@ -27,10 +27,6 @@ import (
 // user buffer: per page a syscall, the disk read protocol, and a
 // kernel-to-user copy on the local memory bus.
 func (c *Ctx) FileRead(page PageID, pages int) {
-	if c.rec != nil {
-		c.rec(OpEvent{Kind: OpFileRead, Page: page, Pages: pages})
-		return
-	}
 	c.logOp(OpEvent{Kind: OpFileRead, Page: page, Pages: pages})
 	m, n, p := c.m, c.n, c.p
 	for k := 0; k < pages; k++ {
@@ -53,10 +49,6 @@ func (c *Ctx) FileRead(page PageID, pages int) {
 // disk node, and the controller's ACK/NACK/OK flow control (synchronous,
 // as write() is).
 func (c *Ctx) FileWrite(page PageID, pages int) {
-	if c.rec != nil {
-		c.rec(OpEvent{Kind: OpFileWrite, Page: page, Pages: pages})
-		return
-	}
 	c.logOp(OpEvent{Kind: OpFileWrite, Page: page, Pages: pages})
 	m, n, p := c.m, c.n, c.p
 	for k := 0; k < pages; k++ {

@@ -519,3 +519,22 @@ func TestUtilizationTableBounded(t *testing.T) {
 		}
 	}
 }
+
+// Control messages (OK/ring-ACK/notify/cancel deliveries) recycle
+// through the machine's message pool instead of allocating a closure per
+// message.
+func TestMeshMsgPoolRecycles(t *testing.T) {
+	m, err := New(smallCfg(), Standard, disk.Naive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := m.takeMsg()
+	g.kind, g.to, g.page = msgOK, 0, 3
+	g.run() // no waiter registered: delivery is a no-op, then self-pools
+	if len(m.msgPool) != 1 {
+		t.Fatalf("pool holds %d messages after run, want 1", len(m.msgPool))
+	}
+	if g2 := m.takeMsg(); g2 != g {
+		t.Fatal("takeMsg did not reuse the pooled message")
+	}
+}

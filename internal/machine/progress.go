@@ -8,15 +8,8 @@ import "nwcache/internal/sim"
 // watchdog's RequestAbort there, unwinding the run into a
 // *sim.AbortError. Call after New and before Run, like AttachFaults;
 // a nil p is a no-op.
-//
-// PDES caveat: under windowed PDES execution (NewPDES) the shard
-// group drives engines on its own goroutines with a window protocol
-// that has no mid-window teardown, so the probe is not attached —
-// supervision of PDES cells falls back to the watchdog's wedge
-// handling (abandon, never join). The sweep fabric therefore only
-// arms probes on serial cells.
 func (m *Machine) AttachProgress(p *sim.Progress) {
-	if p == nil || m.pdes != nil {
+	if p == nil {
 		return
 	}
 	m.E.AttachProgress(p)

@@ -21,8 +21,6 @@ type JobRequest struct {
 	Name string       `json:"name,omitempty"`
 	Grid string       `json:"grid,omitempty"`
 	Cell *CellRequest `json:"cell,omitempty"`
-	Par  bool         `json:"par,omitempty"`
-	Pdes int          `json:"pdes,omitempty"`
 }
 
 // CellRequest describes one simulation cell.
@@ -162,7 +160,9 @@ func (s *Server) handleJobList(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	body := io.LimitReader(r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
@@ -180,7 +180,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = spec.Name
 	}
-	j, err := s.Submit(spec, text, name, req.Par, req.Pdes)
+	j, err := s.Submit(spec, text, name)
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, err)
 		return

@@ -354,6 +354,8 @@ func TestBadRequests(t *testing.T) {
 		{"bad spec", `{"grid":"bogus directive\n"}`, http.StatusBadRequest},
 		{"bad json", `{`, http.StatusBadRequest},
 		{"cell without app", `{"cell":{}}`, http.StatusBadRequest},
+		{"unknown request field", `{"cell":{"app":"gauss"},"pdes":4}`, http.StatusBadRequest},
+		{"unknown cell field", `{"cell":{"app":"gauss","faultplan":"x"}}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {

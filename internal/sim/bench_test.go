@@ -66,6 +66,45 @@ func BenchmarkUnparkStorm(b *testing.B) {
 	}
 }
 
+// BenchmarkProcHandoff measures the cross-process switch that dominates
+// real runs: two processes ping-pong through a pair of Conds, so every
+// wake hands control to the other process's goroutine. (BenchmarkProcSwitch
+// has one process wake itself and never crosses goroutines.) One op is a
+// round trip, i.e. two handoffs, plus one own-wake Sleep that advances
+// the clock so each instant's ready FIFO stays bounded, as in real runs.
+// The steady state must not allocate.
+func BenchmarkProcHandoff(b *testing.B) {
+	b.ReportAllocs()
+	e := New()
+	ping, pong := NewCond(e), NewCond(e)
+	e.SpawnDaemon("pong", func(p *Proc) {
+		for {
+			pong.Wait(p)
+			ping.Signal()
+		}
+	})
+	var allocs float64
+	e.Spawn("ping", func(p *Proc) {
+		roundTrip := func() {
+			p.Sleep(1)
+			pong.Signal()
+			ping.Wait(p)
+		}
+		allocs = testing.AllocsPerRun(100, roundTrip) // also warms both procs
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			roundTrip()
+		}
+		b.StopTimer()
+	})
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if allocs != 0 && !raceEnabled {
+		b.Fatalf("handoff round trip allocates %v/op, want 0", allocs)
+	}
+}
+
 // BenchmarkCancel measures the schedule + cancel + slot-recycle cycle.
 // The chain advances time each step, so canceled slots are drained and
 // reused instead of accumulating in the heap.

@@ -13,12 +13,10 @@
 # recomputes it independently from the captured output so the manifest
 # tee itself is cross-checked.
 #
-# The sweep then runs a second time with -par (pipelined op-stream
-# generation) and a third time with -pdes 4 (windowed parallel
-# discrete-event execution), each byte-compared against the first: both
-# parallel paths' contract is byte-identical results, and this is the
-# gate that holds them to it. Set GOLDEN_SKIP_PAR=1 / GOLDEN_SKIP_PDES=1
-# to skip those passes.
+# The sweep then runs a second time with -j 1 (one simulation at a
+# time) and is byte-compared against the first, default-GOMAXPROCS
+# pass: cell-level -j is the simulator's only parallel path, and its
+# contract is that the worker count never changes a byte of output.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -48,29 +46,15 @@ if [ -n "$raw" ] && [ "sha256:$raw" != "$digest" ]; then
   exit 1
 fi
 
-# Parallel fast path: same sweep, -par, byte-identical stdout required.
-if [ "${GOLDEN_SKIP_PAR:-0}" != 1 ]; then
-  go run ./cmd/nwbench -all -q -seed 1 -par > "$tmp/out-par.txt"
-  if ! cmp -s "$tmp/out.txt" "$tmp/out-par.txt"; then
-    echo "golden: -par output differs from serial output" >&2
-    diff "$tmp/out.txt" "$tmp/out-par.txt" | head -20 >&2 || true
-    exit 1
-  fi
-  echo "golden: -par output byte-identical to serial"
+# Cell-level parallelism: same sweep on one worker, byte-identical
+# stdout required.
+go run ./cmd/nwbench -all -q -seed 1 -j 1 > "$tmp/out-j1.txt"
+if ! cmp -s "$tmp/out.txt" "$tmp/out-j1.txt"; then
+  echo "golden: -j 1 output differs from default -j output" >&2
+  diff "$tmp/out.txt" "$tmp/out-j1.txt" | head -20 >&2 || true
+  exit 1
 fi
-
-# PDES path: same sweep on a 4-shard group, byte-identical stdout
-# required. This is the whole-evaluation end of the determinism
-# contract; the per-cell end is TestPDESMatchesSerial* in CI.
-if [ "${GOLDEN_SKIP_PDES:-0}" != 1 ]; then
-  go run ./cmd/nwbench -all -q -seed 1 -pdes 4 > "$tmp/out-pdes.txt"
-  if ! cmp -s "$tmp/out.txt" "$tmp/out-pdes.txt"; then
-    echo "golden: -pdes 4 output differs from serial output" >&2
-    diff "$tmp/out.txt" "$tmp/out-pdes.txt" | head -20 >&2 || true
-    exit 1
-  fi
-  echo "golden: -pdes 4 output byte-identical to serial"
-fi
+echo "golden: -j 1 output byte-identical to default -j"
 
 if [ "${1:-}" = "--update" ]; then
   mkdir -p testdata
