@@ -189,7 +189,10 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkProcSwitch measures coroutine transfer cost.
+// BenchmarkProcSwitch measures the own-wake path: one process sleeps and
+// its own wake is always the next event, so it resumes itself with no
+// switch to another process (BenchmarkProcHandoff in internal/sim
+// measures the transfer).
 func BenchmarkProcSwitch(b *testing.B) {
 	e := sim.New()
 	n := b.N

@@ -94,7 +94,7 @@ type PanicError struct {
 	Cell  core.Cell
 	Key   string
 	Value any    // the recovered panic value
-	Stack []byte // the panicking goroutine's stack
+	Stack []byte // the worker's stack where the panic was recovered
 }
 
 func (e *PanicError) Error() string {
@@ -210,7 +210,10 @@ func (p *Pool) Submit(c core.Cell) (f *Future, fresh bool) {
 			// A panicking cell must not take down the whole matrix: convert
 			// the crash into this cell's typed error and let its siblings
 			// finish (the sweep fabric classifies *PanicError into a
-			// poison record).
+			// poison record). This covers panics mid-run too: simulation
+			// processes are coroutines of this goroutine, so a panic in a
+			// process body, or in a callback a process drives, surfaces
+			// from c.Run with its original value.
 			if r := recover(); r != nil {
 				f.res = nil
 				f.err = &PanicError{Cell: c, Key: key, Value: r, Stack: debug.Stack()}

@@ -24,6 +24,9 @@ func waitIdle(t *testing.T, p *Pool) {
 
 func TestQueueDepthTracksInFlight(t *testing.T) {
 	p := New(1)
+	// Hold the only worker slot, so no cell can start (and finish) before
+	// the depth is read: badCell fails the moment it runs.
+	p.sem <- struct{}{}
 	var futs []*Future
 	for i := 0; i < 3; i++ {
 		f, fresh := p.Submit(badCell(i))
@@ -32,8 +35,8 @@ func TestQueueDepthTracksInFlight(t *testing.T) {
 		}
 		futs = append(futs, f)
 	}
-	// The in-flight count is bumped synchronously in Submit, so with one
-	// worker and nothing collected yet all three cells are pending.
+	// The in-flight count is bumped synchronously in Submit, so with the
+	// worker slot held all three cells are pending.
 	if got := p.QueueDepth(); got != 3 {
 		t.Fatalf("QueueDepth = %d, want 3", got)
 	}
@@ -42,6 +45,7 @@ func TestQueueDepthTracksInFlight(t *testing.T) {
 	if got := p.QueueDepth(); got != 3 {
 		t.Fatalf("QueueDepth after memo hit = %d, want 3", got)
 	}
+	<-p.sem
 	for _, f := range futs {
 		f.Wait()
 	}

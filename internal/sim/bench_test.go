@@ -68,11 +68,11 @@ func BenchmarkUnparkStorm(b *testing.B) {
 
 // BenchmarkProcHandoff measures the cross-process switch that dominates
 // real runs: two processes ping-pong through a pair of Conds, so every
-// wake hands control to the other process's goroutine. (BenchmarkProcSwitch
-// has one process wake itself and never crosses goroutines.) One op is a
-// round trip, i.e. two handoffs, plus one own-wake Sleep that advances
-// the clock so each instant's ready FIFO stays bounded, as in real runs.
-// The steady state must not allocate.
+// wake resumes the other process's coroutine through the engine loop.
+// (BenchmarkProcSwitch has one process wake itself and never switches.)
+// One op is a round trip, i.e. two handoffs, plus one own-wake Sleep that
+// advances the clock so each instant's ready FIFO stays bounded, as in
+// real runs. The steady state must not allocate.
 func BenchmarkProcHandoff(b *testing.B) {
 	b.ReportAllocs()
 	e := New()

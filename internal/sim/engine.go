@@ -8,11 +8,11 @@
 // Two execution styles are supported and freely mixed:
 //
 //   - plain callbacks scheduled with At/After, and
-//   - cooperative processes (Proc) — goroutines that own the engine while
-//     they run and yield back whenever they Sleep or block on a
-//     synchronization primitive. Exactly one goroutine (the engine or a
-//     single process) runs at any instant, so no data shared through the
-//     engine needs locking and results are deterministic.
+//   - cooperative processes (Proc) — iter.Pull coroutines that own the
+//     engine while they run and yield back whenever they Sleep or block on
+//     a synchronization primitive. Exactly one coroutine (the engine loop
+//     or a single process) runs at any instant, so no data shared through
+//     the engine needs locking and results are deterministic.
 //
 // The dispatch core is built for throughput (see MODEL.md, "Engine fast
 // path"): event slots are pooled and recycled, future events live in an
@@ -98,18 +98,18 @@ type Engine struct {
 	pending   int      // scheduled events not yet fired or canceled
 
 	// process bookkeeping
-	parkedList []*Proc       // procs blocked on a primitive (no event pending)
-	live       int           // procs started and not yet finished
-	main       chan struct{} // driver token handed back to Run/KillParked on drain
-	back       chan struct{} // killed proc -> KillParked: "I have unwound"
-	current    *Proc         // proc currently holding control, nil in callbacks
-	procPool   []*Proc       // finished proc shells whose goroutines await reuse
+	parkedList []*Proc // procs blocked on a primitive (no event pending)
+	current    *Proc   // proc currently holding control, nil in callbacks
+	handTo     *Proc   // proc the engine loop resumes next (set by drive)
+	procPool   []*Proc // finished proc shells whose coroutines await reuse
+	shells     []*Proc // every live coroutine shell, for retirement
 
 	// Dispatch statistics, maintained unconditionally: plain integer
 	// bumps on already-written cache lines, far below the noise floor of
 	// the ~18 ns dispatch. Exposed to the obs layer as pull-based probes.
 	dispatched uint64 // events fired
 	wakes      uint64 // proc hand-overs/resumes among the dispatched
+	switches   uint64 // wakes that resumed a process other than the driver
 	heapPeak   int    // high-water mark of the future-event heap
 
 	// Clock-boundary tick hook (SetTick): tickFn fires whenever dispatch
@@ -138,11 +138,6 @@ type Engine struct {
 // New returns an empty engine at time 0.
 func New() *Engine {
 	return &Engine{
-		// Capacity 1 so a control hand-over is one buffered send (no
-		// rendezvous double-park); tokens strictly alternate, so a
-		// buffer never holds more than one.
-		main:      make(chan struct{}, 1),
-		back:      make(chan struct{}, 1),
 		stopAt:    noLimit,
 		nextTick:  never,
 		nextProbe: never,
@@ -329,33 +324,23 @@ func (e *Engine) nextInstant() *event {
 	return first
 }
 
-// drive outcomes.
-const (
-	driveDrained = iota // queues empty or Stop() seen: token belongs to main
-	driveHanded         // token handed to another proc's goroutine
-	driveResumed        // owner's own wake fired: owner continues, still driver
-)
-
-// drive is the dispatch loop, executed by whichever goroutine currently
-// owns the engine (the "driver token" migrates: Run's goroutine starts
-// with it, and every yielding or finishing proc keeps dispatching until
-// the token can be handed to the next runnable goroutine). owner is the
-// proc this goroutine belongs to, or nil for the main goroutine and for a
-// proc whose body already returned.
-//
-// Callback events run inline on the driving goroutine — harmless, since
-// exactly one goroutine runs at any instant either way. When owner's own
-// wake event comes up, drive returns driveResumed and the owner proceeds
-// without any channel operation at all (the common case for a proc whose
-// sleep expires with no intervening work).
-func (e *Engine) drive(owner *Proc) int {
+// drive is the dispatch loop. It runs either in the engine loop (owner
+// nil) or inside a yielding process (owner is that process), which keeps
+// dispatching until some process must run. Callback events run inline on
+// whichever side drives — harmless, since exactly one side runs at any
+// instant either way. When owner's own wake event comes up, drive returns
+// true and the owner proceeds with no switch at all (the common case for a
+// proc whose sleep expires with no intervening work). Otherwise it returns
+// false with e.handTo set to the process the engine loop must resume next,
+// or left nil when the queues drained or Stop was seen.
+func (e *Engine) drive(owner *Proc) bool {
 	for !e.stopped {
 		var ev *event
 		if e.readyHead < len(e.ready) {
 			ev = e.ready[e.readyHead]
 			e.readyHead++
 		} else if ev = e.nextInstant(); ev == nil {
-			return driveDrained
+			return false
 		}
 		if ev.canceled {
 			e.release(ev)
@@ -382,18 +367,58 @@ func (e *Engine) drive(owner *Proc) int {
 			fn()
 		default: // evWake, evStart
 			e.wakes++
-			if kind == evStart {
-				e.live++
-			}
 			e.current = p
 			if p == owner {
-				return driveResumed
+				return true
 			}
-			p.cont <- struct{}{}
-			return driveHanded
+			e.switches++
+			e.handTo = p
+			return false
 		}
 	}
-	return driveDrained
+	return false
+}
+
+// loop is the trampoline every process switch passes through: it resumes
+// e.handTo, and whenever no process is due (one suspended after its life
+// ended, or with the queues drained) it drives dispatch itself, until the
+// queues drain or Stop is seen. A panic escaping a process or a callback
+// propagates to loop's caller after every coroutine has been stopped, so
+// a crashed run leaks no goroutines; the engine is unusable afterwards.
+func (e *Engine) loop() {
+	ok := false
+	defer func() {
+		if !ok {
+			e.stopped = true // a body's defers may yield while unwinding
+			e.handTo = nil
+			e.retire()
+		}
+	}()
+	for {
+		if e.handTo == nil {
+			e.drive(nil)
+			if e.handTo == nil {
+				break // drained, or Stop seen
+			}
+		}
+		p := e.handTo
+		e.handTo = nil
+		p.resume()
+	}
+	ok = true
+}
+
+// retire stops every process coroutine. Pooled shells end between lives;
+// a shell suspended mid-body (only after a panic) unwinds it with
+// procKilled. Spawns after retirement get fresh shells.
+func (e *Engine) retire() {
+	for _, p := range e.shells {
+		p.stop()
+	}
+	clear(e.shells)
+	e.shells = e.shells[:0]
+	clear(e.procPool)
+	e.procPool = e.procPool[:0]
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is a
@@ -432,6 +457,11 @@ func (e *Engine) Dispatched() uint64 { return e.dispatched }
 // WakeHandoffs reports how many of the dispatched events were process
 // hand-overs (Sleep wake-ups, unparks, starts) rather than callbacks.
 func (e *Engine) WakeHandoffs() uint64 { return e.wakes }
+
+// ProcSwitches reports how many of the WakeHandoffs resumed a process
+// other than the one driving dispatch, i.e. went through a coroutine
+// switch. The rest are own-wake resumes, which continue with no switch.
+func (e *Engine) ProcSwitches() uint64 { return e.switches }
 
 // HeapPeak reports the high-water mark of the future-event heap.
 func (e *Engine) HeapPeak() int { return e.heapPeak }
@@ -562,12 +592,7 @@ func (e *Engine) Run() error {
 	e.stopped = false
 	e.tripped = false
 	e.aborted = ""
-	if e.drive(nil) == driveHanded {
-		// A proc holds the driver token; procs keep dispatching among
-		// themselves and hand the token back when the queues drain (or
-		// Stop is seen).
-		<-e.main
-	}
+	e.loop()
 	if e.tripped {
 		if e.aborted != "" {
 			return e.abortTeardown()
@@ -608,18 +633,17 @@ func (e *Engine) livelockTeardown() error {
 
 // clearPending discards every event still queued. A process whose wake or
 // start event is discarded is re-registered as parked so KillParked can
-// unwind its goroutine; without that, it would block forever on a
-// hand-over that never comes.
+// unwind it; without that, it would stay suspended forever awaiting a
+// resume that never comes.
 func (e *Engine) clearPending() {
 	drop := func(ev *event) {
 		if !ev.canceled {
 			e.pending--
 			if ev.p != nil {
 				if ev.kind == evStart {
-					// Never started: the goroutine is waiting on its first
-					// hand-over, before the kill protocol's unwind path
-					// exists. Flag it so it exits instead of running its
-					// body (see spawn).
+					// Never started: there is no body to unwind yet.
+					// Flag it so its resume recycles the shell instead
+					// of running the body (see Proc.lives).
 					ev.p.killed = true
 				}
 				ev.p.waitOn = "discarded event"
@@ -665,16 +689,14 @@ func (e *Engine) removeParked(p *Proc) {
 // defers, which may unpark other processes (e.g. by releasing a semaphore);
 // those are resumed to quiescence before the next victim is killed, so
 // teardown is orderly and complete. Finished-process shells recycled
-// through the spawn pool are retired last, so their idle goroutines do not
+// through the spawn pool are retired last, so their idle coroutines do not
 // outlive the simulation either. Safe to call repeatedly.
 func (e *Engine) KillParked() {
 	e.stopped = false // teardown always drains what remains
 	for {
-		// Resume anything runnable (events scheduled by defers of already
-		// killed processes) until the queues are quiet again.
-		if e.drive(nil) == driveHanded {
-			<-e.main
-		}
+		// Resume the victim (if any), then anything runnable (events
+		// scheduled by its unwinding defers) until the queues are quiet.
+		e.loop()
 		if len(e.parkedList) == 0 {
 			break
 		}
@@ -688,16 +710,7 @@ func (e *Engine) KillParked() {
 		e.removeParked(victim)
 		victim.killed = true
 		e.current = victim
-		victim.cont <- struct{}{}
-		<-e.back // victim has unwound; we still hold the driver token
-		e.current = nil
+		e.handTo = victim
 	}
-	for k := len(e.procPool); k > 0; k = len(e.procPool) {
-		p := e.procPool[k-1]
-		e.procPool[k-1] = nil
-		e.procPool = e.procPool[:k-1]
-		p.retire = true
-		p.cont <- struct{}{}
-		<-e.back // goroutine has exited its loop
-	}
+	e.retire()
 }

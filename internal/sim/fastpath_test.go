@@ -130,8 +130,8 @@ func TestAtAllocsAmortizedZero(t *testing.T) {
 }
 
 // Sleep (the proc-switch hot path) is allocation-free: the wake event
-// reuses a pooled slot and the migrating driver resumes the sleeper with
-// no channel traffic when its wake is the next event.
+// reuses a pooled slot and the sleeper, still dispatching, resumes itself
+// with no coroutine switch when its wake is the next event.
 func TestSleepAllocsAmortizedZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts inflated under -race")
@@ -184,8 +184,8 @@ func TestBatchedDispatchPreservesSeqOrder(t *testing.T) {
 }
 
 // Spawning short-lived processes is amortized allocation-free: completed
-// procs park their goroutine and shell on the engine's pool, and the next
-// spawn reuses them (the swap-out issue path spawns one proc per page).
+// procs park their coroutine shell on the engine's pool, and the next
+// spawn reuses it (the swap-out issue path spawns one proc per page).
 func TestSpawnAllocsAmortizedZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts inflated under -race")

@@ -1,34 +1,41 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // procKilled is the sentinel panic value used to unwind a killed process.
 type procKilled struct{ name string }
 
-// Proc is a cooperative simulation process. A Proc runs on its own
-// goroutine but only while the engine has explicitly transferred control to
-// it; it must yield (by sleeping or blocking) to let simulation time
-// advance. All Proc methods must be called from the Proc's own goroutine.
+// Proc is a cooperative simulation process. A Proc runs as a coroutine
+// (iter.Pull) and only while the engine has resumed it; it must yield (by
+// sleeping or blocking) to let simulation time advance. All Proc methods
+// must be called from the Proc's own body.
 //
-// Proc shells (struct, control channel, goroutine) are pooled: when a body
-// returns, the shell parks on Engine.procPool and its goroutine blocks on
-// cont awaiting the next spawn, so steady-state process churn (the swap-out
-// daemons spawn hundreds of thousands of short-lived processes per run)
-// allocates nothing. Recycling never perturbs dispatch order: spawn
-// consumes exactly the same two sequence numbers (process id, start event)
-// whether the shell is fresh or pooled.
+// Proc shells (struct plus coroutine) are pooled: when a body returns, the
+// shell parks on Engine.procPool and its coroutine suspends awaiting the
+// next spawn, so steady-state process churn (the swap-out daemons spawn
+// hundreds of thousands of short-lived processes per run) allocates
+// nothing. Recycling never perturbs dispatch order: spawn consumes exactly
+// the same two sequence numbers (process id, start event) whether the
+// shell is fresh or pooled.
 type Proc struct {
 	e         *Engine
 	id        uint64
 	name      string
 	daemon    bool
-	cont      chan struct{} // engine -> proc: "you have control"
-	body      func(*Proc)   // current life's body; nil between lives
+	body      func(*Proc) // current life's body; nil between lives
 	killed    bool
-	retire    bool   // KillParked: exit the goroutine instead of recycling
 	parkedIdx int    // index in Engine.parkedList, -1 when not parked
 	waitOn    string // label of the primitive currently parked on
 	parkedAt  Time   // when the current park began
+
+	resume  func() (struct{}, bool) // engine loop -> proc: run until the next suspend
+	stop    func()                  // ends the coroutine (retirement)
+	suspend func(struct{}) bool     // proc -> engine loop; false once stopped
 }
 
 // Spawn starts fn as a new process at the current simulation time. The
@@ -53,8 +60,9 @@ func (e *Engine) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
 		e.procPool[k-1] = nil
 		e.procPool = e.procPool[:k-1]
 	} else {
-		p = &Proc{e: e, cont: make(chan struct{}, 1)}
-		go p.loop()
+		p = &Proc{e: e}
+		p.resume, p.stop = iter.Pull(p.lives)
+		e.shells = append(e.shells, p)
 	}
 	p.id = e.seq
 	p.name = name
@@ -66,83 +74,53 @@ func (e *Engine) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// loop is a proc shell's goroutine: one iteration per life. Between lives
-// the goroutine blocks on cont with the shell sitting in Engine.procPool;
-// KillParked retires it at teardown so abandoned engines leak nothing.
-func (p *Proc) loop() {
-	e := p.e
+// lives is a shell's coroutine: one iteration per life. Each life runs the
+// body, recycles the shell, then suspends until the next spawn's start
+// event resumes it. The shell is recycled *before* the suspend, so an
+// event dispatched right after this life ends may already respawn it.
+// Retirement (Engine.retire) stops the coroutine between lives.
+func (p *Proc) lives(suspend func(struct{}) bool) {
+	p.suspend = suspend
 	for {
-		<-p.cont // wait for the start event (or retirement) to hand over control
-		if p.retire {
-			e.back <- struct{}{}
+		// A start event discarded at teardown (livelock or abort) leaves
+		// the shell killed before its body ever ran: skip straight to
+		// recycling.
+		if !p.killed {
+			p.run()
+		}
+		p.e.current = nil
+		p.body = nil
+		p.e.procPool = append(p.e.procPool, p)
+		if !suspend(struct{}{}) {
 			return
 		}
-		if p.killed {
-			// Start event discarded (livelock teardown) before the body
-			// ever ran: unwind directly. live was never incremented, and
-			// the kill protocol's defer does not exist yet.
-			e.current = nil
-			p.recycle()
-			e.back <- struct{}{}
-			continue
-		}
-		p.run()
 	}
 }
 
-// recycle parks the shell on the spawn pool for its next life. Must run
-// while this goroutine still holds the driver token (or is mid-unwind with
-// KillParked blocked on back), so pool access is race-free.
-func (p *Proc) recycle() {
-	p.body = nil
-	p.e.procPool = append(p.e.procPool, p)
-}
-
-// run executes one life of the process body and hands the shell back to
-// the pool. The shell is recycled *before* the completion dispatch below:
-// an event dispatched there may respawn this very shell, in which case the
-// hand-over lands in cont and loop picks the new body up immediately.
+// run executes one life of the process body. A kill unwinds the body with
+// procKilled, which ends the life like a normal return. Any other panic
+// propagates: iter.Pull re-raises it from the resume call in Engine.loop,
+// so it reaches Run's caller with its original value.
 func (p *Proc) run() {
-	e := p.e
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(procKilled); ok {
-				// Killed during engine teardown: recycle and return the
-				// driver token to KillParked, which resumes whatever the
-				// unwinding defers made runnable.
-				e.live--
-				e.current = nil
-				p.recycle()
-				e.back <- struct{}{}
-				return
+			if _, ok := r.(procKilled); !ok {
+				panic(r)
 			}
-			panic(r) // real bug: crash loudly
-		}
-		// Normal completion: this goroutine still holds the driver
-		// token, so keep dispatching until it can be handed off.
-		e.live--
-		e.current = nil
-		p.recycle()
-		if e.drive(nil) == driveDrained {
-			e.main <- struct{}{}
 		}
 	}()
 	p.body(p)
 }
 
-// yield relinquishes the processor but keeps driving the dispatch loop on
-// this goroutine until control comes back (see Engine.drive). If the
-// process was killed while parked, yield panics with procKilled to unwind
-// the process body (running defers).
+// yield relinquishes the processor. The process keeps dispatching events
+// itself (see Engine.drive) until its own wake comes up, in which case it
+// continues with no switch at all; when another process runs next, it
+// suspends and the engine loop resumes that one. If the process was killed
+// while parked (or its coroutine stopped), yield panics with procKilled to
+// unwind the process body (running defers).
 func (p *Proc) yield() {
-	switch p.e.drive(p) {
-	case driveResumed:
-		// Our own wake was the next event: continue, still the driver.
-	case driveHanded:
-		<-p.cont
-	case driveDrained:
-		p.e.main <- struct{}{} // hand the token back to Run/KillParked
-		<-p.cont
+	if !p.e.drive(p) && !p.suspend(struct{}{}) {
+		p.killed = true
 	}
 	if p.killed {
 		panic(procKilled{p.name})

@@ -11,7 +11,10 @@ import (
 	"time"
 
 	"nwcache/internal/core"
+	"nwcache/internal/exp/pool"
 	"nwcache/internal/guard"
+	"nwcache/internal/machine"
+	"nwcache/internal/sim"
 )
 
 // chaosRetrier returns a retry budget generous enough to ride out the
@@ -373,13 +376,25 @@ func TestRunnerWatchdogTimeout(t *testing.T) {
 	var poisons []string
 	r := &Runner{
 		Spec: s, Shard: 0, Shards: 1, Dir: dir,
-		Pool: nil,
+		// One worker per cell: a cell that cannot end by itself must not
+		// keep a queued sibling from starting.
+		Pool: pool.New(s.ShardSize(0, 1)),
 		Guard: guard.CellGuard{
 			Budget: time.Nanosecond, // every cell overruns instantly
 			Poll:   time.Millisecond,
 			Grace:  10 * time.Second, // aborts must land well within this
 		},
 		OnPoison: func(c core.Cell, reason string) { poisons = append(poisons, reason) },
+		// Every budgeted cell also runs a process that never ends, so no
+		// cell can finish before the watchdog first looks: each one ends
+		// only when the watchdog's abort lands at a probe boundary.
+		onMachine: func(m *machine.Machine) {
+			m.E.Spawn("endless", func(p *sim.Proc) {
+				for {
+					p.Sleep(sim.DefaultProbeEvery)
+				}
+			})
+		},
 	}
 	sum, err := r.Run()
 	if !errors.Is(err, ErrPoisoned) {

@@ -112,10 +112,14 @@ type Runner struct {
 	// OnPoison, if set, is called once per freshly quarantined cell.
 	OnPoison func(c core.Cell, reason string)
 	// Sabotage, if set, makes matching cells panic inside their
-	// simulation (through the observability hook, so the cell key is
-	// unchanged). This exists for the chaos harness — a deliberately
-	// panicking cell proves the quarantine path end to end.
+	// simulation: the observability hook (so the cell key is unchanged)
+	// spawns a process that panics one pcycle into the run. This exists
+	// for the chaos harness — a deliberately panicking cell proves the
+	// mid-run quarantine path end to end.
 	Sabotage func(c core.Cell) bool
+	// onMachine, if set, runs inside the observability hook on every
+	// fresh cell's machine before it starts (a test seam).
+	onMachine func(m *machine.Machine)
 
 	// OnEvent, if set, receives the shard's structured lifecycle events
 	// (obs.Event): shard start/done, one event per cell settling (STATE
@@ -241,7 +245,14 @@ func (r *Runner) Run() (Summary, error) {
 	)
 	hook := func(c core.Cell, m *machine.Machine) {
 		if r.Sabotage != nil && r.Sabotage(c) {
-			panic(fmt.Sprintf("sweep: sabotaged cell %s", c.Label()))
+			msg := fmt.Sprintf("sweep: sabotaged cell %s", c.Label())
+			m.E.Spawn("sabotage", func(p *sim.Proc) {
+				p.Sleep(1)
+				panic(msg)
+			})
+		}
+		if r.onMachine != nil {
+			r.onMachine(m)
 		}
 		oc := &obsCapture{reg: obs.NewRegistry()}
 		m.Observe(oc.reg, nil)

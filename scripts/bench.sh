@@ -8,7 +8,7 @@
 #
 # Benchmarks:
 #   BenchmarkEngineEventThroughput  pooled event schedule/dispatch cycle
-#   BenchmarkProcSwitch             Sleep round-trip (migrating driver)
+#   BenchmarkProcSwitch             Sleep round-trip (own-wake resume)
 #   BenchmarkProcHandoff            cross-process Cond ping-pong
 #   BenchmarkSingleRunGauss         end-to-end run, swap-heavy application
 #   BenchmarkSingleRunFFT           end-to-end run, communication-heavy
