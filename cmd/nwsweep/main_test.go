@@ -69,12 +69,17 @@ func TestGridExitComplete(t *testing.T) {
 
 func TestGridExitHardError(t *testing.T) {
 	spec, dir := writeSpec(t, "1..1")
-	// Missing -dir, nonexistent spec, and a malformed shard must all
-	// take the hard-error path.
+	// Missing -dir, a nonexistent spec, a malformed shard, a mistyped
+	// prefetch mode and an unknown sweep must all take the hard-error
+	// path.
 	for _, args := range [][]string{
 		{"-grid", spec},
 		{"-grid", filepath.Join(dir, "nope.txt"), "-dir", dir},
 		{"-grid", spec, "-dir", dir, "-shard", "5/2"},
+		{"-grid", spec, "-dir", dir, "-shard", "1/2/3"},
+		{"-grid", spec, "-dir", dir, "-shard", "0/4x"},
+		{"-grid", spec, "-dir", dir, "-prefetch", "optmal"},
+		{"-sweep", "nosuch"},
 	} {
 		code, out := runCLI(t, args...)
 		if code != exitHard {
@@ -130,5 +135,64 @@ func TestGridChaosFSRunsClean(t *testing.T) {
 	}
 	if !strings.Contains(out, "nwsweep: chaos:") {
 		t.Fatalf("missing chaos stats line:\n%s", out)
+	}
+}
+
+// TestSweepSpecsCellCounts checks that every embedded sweep parses and
+// enumerates the cells its table layout promises.
+func TestSweepSpecsCellCounts(t *testing.T) {
+	want := map[string]int{
+		"minfree": 70, "diskcache": 70, "ring": 35, "channels": 28,
+		"nodes": 56, "wbuf": 56, "drain": 14, "swapdepth": 56,
+		"armsched": 28, "prefetch": 42, "baseline": 28,
+	}
+	names := sweepNames()
+	if len(names) != len(want) {
+		t.Fatalf("embedded sweeps %v, want the %d in the table", names, len(want))
+	}
+	for _, name := range names {
+		spec, err := loadSweep(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if spec.Name != name {
+			t.Errorf("%s.grid names itself %q", name, spec.Name)
+		}
+		if got := spec.NumCells(); got != want[name] {
+			t.Errorf("%s: %d cells, want %d", name, got, want[name])
+		}
+	}
+}
+
+// TestSweepOverridesAndResumes runs a named sweep through the CLI twice
+// in one directory: the flag overrides shrink it, and the second run
+// simulates nothing and prints the same tables.
+func TestSweepOverridesAndResumes(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-sweep", "drain", "-apps", "gauss", "-scale", "0.05", "-prefetch", "naive", "-dir", dir, "-q"}
+	run := func() (stdout, stderr string) {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "NWSWEEP_MAIN=1")
+		var errBuf strings.Builder
+		cmd.Stderr = &errBuf
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, errBuf.String())
+		}
+		return string(out), errBuf.String()
+	}
+	first, log := run()
+	if !strings.Contains(log, "2 cells = 0 state + 0 cache + 2 fresh") {
+		t.Fatalf("overrides not applied:\n%s", log)
+	}
+	if !strings.Contains(first, "mode=naive") || !strings.Contains(first, "gauss") {
+		t.Fatalf("tables miss the overridden mode or app:\n%s", first)
+	}
+	second, log := run()
+	if !strings.Contains(log, "+ 0 fresh") {
+		t.Fatalf("second run simulated cells:\n%s", log)
+	}
+	if second != first {
+		t.Fatalf("resumed tables differ:\n%s\nvs\n%s", first, second)
 	}
 }

@@ -73,16 +73,33 @@ func TestPaperMinFree(t *testing.T) {
 	}
 }
 
-func TestRunDrainPolicyBothSettings(t *testing.T) {
-	cfg := fastCfg()
+func TestRoundRobinDrainBothSettings(t *testing.T) {
 	for _, rr := range []bool{false, true} {
-		res, err := RunDrainPolicy("sor", Naive, cfg, rr)
+		cfg := fastCfg()
+		cfg.RoundRobinDrain = rr
+		res, err := Run("sor", NWCache, Naive, cfg)
 		if err != nil {
 			t.Fatalf("rr=%v: %v", rr, err)
 		}
 		if res.ExecTime <= 0 {
 			t.Fatalf("rr=%v: empty result", rr)
 		}
+	}
+}
+
+// TestCellKeyPinned pins one default cell's key: keys address every
+// sweep cache and STATE file, so a change to the key's inputs (or to the
+// config's JSON form) must be deliberate.
+func TestCellKeyPinned(t *testing.T) {
+	c := Cell{App: "gauss", Kind: NWCache, Mode: Optimal,
+		Cfg: ApplyPaperMinFree(DefaultConfig(), NWCache, Optimal)}
+	const want = "ddf784f5ac263592e0cdfb9baab5948f275c5e9e4629a9128c6cfbf636e6de6c"
+	if got := c.Key(); got != want {
+		t.Fatalf("Key = %s, want %s", got, want)
+	}
+	c.Cfg.RoundRobinDrain = true
+	if c.Key() == want {
+		t.Fatal("round-robin drain does not change the key")
 	}
 }
 

@@ -80,7 +80,7 @@ func (s *Suite) pool() *pool.Pool {
 }
 
 // Pool exposes the suite's scheduler so callers can tune it — e.g.
-// attach an on-disk result cache (pool.Backing) or adjust the memo
+// attach a second-level result store (pool.Backing) or adjust the memo
 // bound before running the matrix.
 func (s *Suite) Pool() *pool.Pool {
 	return s.pool()

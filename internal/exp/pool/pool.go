@@ -35,8 +35,7 @@ import (
 const DefaultMemoLimit = 1 << 16
 
 // Backing is an optional second-level result store behind the memo
-// cache — in practice sweep.Cache, the content-addressed on-disk cache.
-// Load is consulted before simulating a memo miss; Store is called
+// cache (perfbench's timing probe is one). Load is consulted before simulating a memo miss; Store is called
 // after every fresh simulation. Implementations must be safe for
 // concurrent use; Store failures are the implementation's to swallow
 // (a lost cache write only costs a future re-run).

@@ -76,11 +76,12 @@ func TestCellKeyDiscriminates(t *testing.T) {
 		cell("gauss", core.NWCache, core.Optimal),
 		cell("lu", core.Standard, core.Optimal),
 		cell("lu", core.NWCache, core.Naive),
-		{App: "lu", Kind: core.NWCache, Mode: core.Optimal, RRDrain: true, Cfg: base.Cfg},
 	}
 	cfgVar := base
 	cfgVar.Cfg.Scale = 0.06
-	variants = append(variants, cfgVar)
+	rrVar := base
+	rrVar.Cfg.RoundRobinDrain = true
+	variants = append(variants, cfgVar, rrVar)
 	for i, v := range variants {
 		if v.Key() == base.Key() {
 			t.Errorf("variant %d collides with base key", i)

@@ -61,6 +61,12 @@ type Config struct {
 	RingRoundTrip int64   // pcycles (52 µs = 10400)
 	RingMBs       float64 // 1250 (1.25 GB/s)
 	RingChanBytes int     // storage per channel (64 KB)
+	// RoundRobinDrain makes the NWCache interfaces drain their channel
+	// FIFOs round-robin instead of the paper's most-loaded-first policy
+	// (the drain-policy ablation). Omitted from the JSON form when off,
+	// so configurations that leave it off keep their historical
+	// encoding and cell keys.
+	RoundRobinDrain bool `json:",omitempty"`
 
 	// Disk.
 	DiskCacheBytes int     // controller cache (16 KB = 4 pages)

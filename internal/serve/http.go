@@ -81,24 +81,9 @@ func (req *JobRequest) specText() (string, error) {
 	}
 	if c.FaultPlan != "" || c.Recovery != "" {
 		fv := sweep.FaultVariant{Plan: c.FaultPlan, Seed: c.FaultSeed, Recovery: c.Recovery}
-		fmt.Fprintf(&b, "fault %s\n", faultLine(fv))
+		fmt.Fprintf(&b, "fault %s\n", fv)
 	}
 	return b.String(), nil
-}
-
-// faultLine renders a fault variant as a spec directive body.
-func faultLine(v sweep.FaultVariant) string {
-	var parts []string
-	if v.Recovery != "" {
-		parts = append(parts, "recovery="+v.Recovery)
-	}
-	if v.Seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", v.Seed))
-	}
-	if v.Plan != "" {
-		parts = append(parts, "plan="+strings.ReplaceAll(v.Plan, "\n", "; "))
-	}
-	return strings.Join(parts, " ")
 }
 
 // Handler returns the service's HTTP mux.

@@ -23,9 +23,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"nwcache/internal/core"
 	"nwcache/internal/param"
@@ -46,8 +48,8 @@ func (v FaultVariant) none() bool {
 	return v.Plan == "" && v.Recovery == ""
 }
 
-// render emits the variant's canonical spec line body.
-func (v FaultVariant) render() string {
+// String renders the variant as its canonical "fault" directive body.
+func (v FaultVariant) String() string {
 	if v.none() {
 		return "none"
 	}
@@ -65,11 +67,14 @@ func (v FaultVariant) render() string {
 }
 
 // ParamAxis is one swept configuration field: Field names a
-// param.Config JSON field, Values are its JSON-encoded points. Axes
-// cross in declaration order (the last axis varies fastest).
+// param.Config JSON field, Values are its JSON-encoded points. Zip
+// holds further fields varied in lockstep with Field, one value per
+// point each, so the group counts as a single axis. Axes cross in
+// declaration order (the last axis varies fastest).
 type ParamAxis struct {
 	Field  string
 	Values []string
+	Zip    []ParamAxis
 }
 
 // MinFree selects how the free-frame floor is chosen per cell.
@@ -119,6 +124,7 @@ type Spec struct {
 //	minfree paper               # paper (default) or config
 //	series 200000               # per-cell sampling interval; default off
 //	param MinFreeFrames 2,8     # sweep a config field (JSON values)
+//	zip SwapQueueDepth 1,4      # vary a field in lockstep with the param above
 //	fault none                  # fault variants, one per line
 //	fault recovery=conservative seed=3 plan=disk read-error rate=0.02; ring outage node=1 from=0 until=1e6
 //
@@ -197,6 +203,16 @@ func ParseSpec(text string) (*Spec, error) {
 				return bad(fmt.Errorf("param needs a field and a value list"))
 			}
 			s.Params = append(s.Params, ParamAxis{Field: field, Values: splitList(strings.TrimSpace(vals))})
+		case "zip":
+			field, vals, ok := strings.Cut(rest, " ")
+			if !ok {
+				return bad(fmt.Errorf("zip needs a field and a value list"))
+			}
+			if len(s.Params) == 0 {
+				return bad(fmt.Errorf("zip %s has no preceding param axis", field))
+			}
+			ax := &s.Params[len(s.Params)-1]
+			ax.Zip = append(ax.Zip, ParamAxis{Field: field, Values: splitList(strings.TrimSpace(vals))})
 		case "fault":
 			v, err := parseFaultVariant(rest)
 			if err != nil {
@@ -324,6 +340,9 @@ func (s *Spec) Validate() error {
 	if len(s.Apps) == 0 || len(s.Kinds) == 0 || len(s.Modes) == 0 || len(s.Seeds) == 0 {
 		return fmt.Errorf("sweep: spec needs at least one app, kind, mode, and seed")
 	}
+	if s.Scale <= 0 {
+		return fmt.Errorf("sweep: scale %v must be positive", s.Scale)
+	}
 	if len(s.Faults) == 0 {
 		s.Faults = []FaultVariant{{}}
 	}
@@ -336,32 +355,62 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("sweep: unknown application %q (have %v)", app, core.Apps())
 		}
 	}
-	base := core.DefaultConfig()
-	base.Scale = s.Scale
 	// Param axes are applied via a JSON round-trip so any Config field
 	// can be swept by name; verify every field and value now, at parse
 	// time, rather than cell by cell.
-	fields, err := configFields(base)
-	if err != nil {
-		return err
-	}
 	for _, ax := range s.Params {
-		if _, ok := fields[ax.Field]; !ok {
-			return fmt.Errorf("sweep: param %q is not a config field", ax.Field)
+		if err := checkAxis("param", ax); err != nil {
+			return err
 		}
-		if len(ax.Values) == 0 {
-			return fmt.Errorf("sweep: param %q has no values", ax.Field)
-		}
-		for _, v := range ax.Values {
-			if !json.Valid([]byte(v)) {
-				return fmt.Errorf("sweep: param %s value %q is not valid JSON", ax.Field, v)
+		for _, z := range ax.Zip {
+			if err := checkAxis("zip", z); err != nil {
+				return err
+			}
+			if len(z.Values) != len(ax.Values) {
+				return fmt.Errorf("sweep: zip %s has %d values, its param %s has %d",
+					z.Field, len(z.Values), ax.Field, len(ax.Values))
 			}
 		}
 	}
-	s.base = base
+	s.base = core.DefaultConfig()
+	s.base.Scale = s.Scale
 	s.ok = true
 	return nil
 }
+
+// checkAxis verifies one param or zip line: a known field and a
+// non-empty list of JSON values.
+func checkAxis(directive string, ax ParamAxis) error {
+	if !configFieldNames()[ax.Field] {
+		return fmt.Errorf("sweep: %s %q is not a config field", directive, ax.Field)
+	}
+	if len(ax.Values) == 0 {
+		return fmt.Errorf("sweep: %s %q has no values", directive, ax.Field)
+	}
+	for _, v := range ax.Values {
+		if !json.Valid([]byte(v)) {
+			return fmt.Errorf("sweep: %s %s value %q is not valid JSON", directive, ax.Field, v)
+		}
+	}
+	return nil
+}
+
+// configFieldNames is the set of param.Config JSON field names, read
+// from the struct rather than a marshaled value so that omitempty fields
+// left at their zero value can be swept too.
+var configFieldNames = sync.OnceValue(func() map[string]bool {
+	t := reflect.TypeOf(param.Config{})
+	names := make(map[string]bool, t.NumField())
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if name == "" {
+			name = f.Name
+		}
+		names[name] = true
+	}
+	return names
+})
 
 // configFields returns the JSON object form of a config.
 func configFields(cfg param.Config) (map[string]json.RawMessage, error) {
@@ -385,21 +434,9 @@ func (s *Spec) Canon() string {
 		fmt.Fprintf(&b, "name %s\n", s.Name)
 	}
 	fmt.Fprintf(&b, "apps %s\n", strings.Join(s.Apps, ","))
-	kinds := make([]string, len(s.Kinds))
-	for i, k := range s.Kinds {
-		kinds[i] = k.String()
-	}
-	fmt.Fprintf(&b, "kinds %s\n", strings.Join(kinds, ","))
-	modes := make([]string, len(s.Modes))
-	for i, m := range s.Modes {
-		modes[i] = m.String()
-	}
-	fmt.Fprintf(&b, "modes %s\n", strings.Join(modes, ","))
-	seeds := make([]string, len(s.Seeds))
-	for i, sd := range s.Seeds {
-		seeds[i] = strconv.FormatInt(sd, 10)
-	}
-	fmt.Fprintf(&b, "seeds %s\n", strings.Join(seeds, ","))
+	fmt.Fprintf(&b, "kinds %s\n", strings.Join(stringsOf(s.Kinds), ","))
+	fmt.Fprintf(&b, "modes %s\n", strings.Join(stringsOf(s.Modes), ","))
+	fmt.Fprintf(&b, "seeds %s\n", strings.Join(s.seedStrings(), ","))
 	fmt.Fprintf(&b, "scale %s\n", strconv.FormatFloat(s.Scale, 'g', -1, 64))
 	if s.MinFree == MinFreeConfig {
 		fmt.Fprintf(&b, "minfree config\n")
@@ -411,11 +448,32 @@ func (s *Spec) Canon() string {
 	}
 	for _, ax := range s.Params {
 		fmt.Fprintf(&b, "param %s %s\n", ax.Field, strings.Join(ax.Values, ","))
+		for _, z := range ax.Zip {
+			fmt.Fprintf(&b, "zip %s %s\n", z.Field, strings.Join(z.Values, ","))
+		}
 	}
 	for _, v := range s.Faults {
-		fmt.Fprintf(&b, "fault %s\n", v.render())
+		fmt.Fprintf(&b, "fault %s\n", v)
 	}
 	return b.String()
+}
+
+// stringsOf renders each element with its String method.
+func stringsOf[T fmt.Stringer](xs []T) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = x.String()
+	}
+	return out
+}
+
+// seedStrings renders the seed list in decimal.
+func (s *Spec) seedStrings() []string {
+	out := make([]string, len(s.Seeds))
+	for i, sd := range s.Seeds {
+		out[i] = strconv.FormatInt(sd, 10)
+	}
+	return out
 }
 
 // Digest identifies the grid: sha256 over the canonical rendering.
@@ -433,7 +491,8 @@ func (s *Spec) BaseConfig() param.Config {
 	return s.base
 }
 
-// NumCells returns the grid's total cell count.
+// NumCells returns the grid's total cell count (a zipped group counts
+// as one axis).
 func (s *Spec) NumCells() int {
 	s.mustValidate()
 	n := len(s.Apps) * len(s.Kinds) * len(s.Modes) * len(s.Seeds) * len(s.Faults)
@@ -513,9 +572,10 @@ func odometer(combo, counts []int) bool {
 	return false
 }
 
-// cellConfig applies the param-axis combination to the base config via
-// a JSON round-trip. explicitMinFree reports whether a MinFreeFrames
-// axis set the floor (suppressing the paper default).
+// cellConfig applies the param-axis combination (zipped fields with
+// their axis) to the base config via a JSON round-trip. explicitMinFree
+// reports whether a MinFreeFrames axis set the floor (suppressing the
+// paper default).
 func (s *Spec) cellConfig(seed int64, combo []int) (cfg param.Config, explicitMinFree bool, err error) {
 	cfg = s.base
 	cfg.Seed = seed
@@ -526,10 +586,16 @@ func (s *Spec) cellConfig(seed int64, combo []int) (cfg param.Config, explicitMi
 	if err != nil {
 		return cfg, false, err
 	}
-	for i, ax := range s.Params {
-		fields[ax.Field] = json.RawMessage(ax.Values[combo[i]])
+	set := func(ax ParamAxis, point int) {
+		fields[ax.Field] = json.RawMessage(ax.Values[point])
 		if ax.Field == "MinFreeFrames" {
 			explicitMinFree = true
+		}
+	}
+	for i, ax := range s.Params {
+		set(ax, combo[i])
+		for _, z := range ax.Zip {
+			set(z, combo[i])
 		}
 	}
 	blob, err := json.Marshal(fields)

@@ -208,3 +208,106 @@ func TestShardPartitionCompleteAndDisjoint(t *testing.T) {
 		}
 	}
 }
+
+const zipSpecText = `
+name zip
+apps gauss
+kinds nwcache
+modes optimal
+param Nodes 4,8
+zip MeshW 2,4
+zip MeshH 2,2
+param DCD false,true
+`
+
+func TestZipCanonRoundTrip(t *testing.T) {
+	s, err := ParseSpec(zipSpecText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon := s.Canon()
+	if !strings.Contains(canon, "param Nodes 4,8\nzip MeshW 2,4\nzip MeshH 2,2\nparam DCD false,true\n") {
+		t.Fatalf("zip lines not rendered right after their axis:\n%s", canon)
+	}
+	s2, err := ParseSpec(canon)
+	if err != nil {
+		t.Fatalf("Canon does not re-parse: %v\n%s", err, canon)
+	}
+	if s2.Canon() != canon || s2.Digest() != s.Digest() {
+		t.Fatalf("zip spec not a Canon fixed point:\n%s\nvs\n%s", canon, s2.Canon())
+	}
+	unzipped, err := ParseSpec(strings.Replace(zipSpecText, "zip MeshH 2,2\n", "", 1))
+	if err == nil && unzipped.Digest() == s.Digest() {
+		t.Fatal("dropping a zip line kept the digest")
+	}
+}
+
+func TestZipRejectsOrphanAndLengthMismatch(t *testing.T) {
+	for _, text := range []string{
+		"apps gauss\nzip MeshW 2,4\n",
+		"apps gauss\nparam Nodes 4,8\nzip MeshW 2\n",
+		"apps gauss\nparam Nodes 4,8\nzip MeshW 2,4,4\n",
+		"apps gauss\nparam Nodes 4,8\nzip NoSuchField 2,4\n",
+		"apps gauss\nparam Nodes 4,8\nzip MeshW\n",
+	} {
+		if _, err := ParseSpec(text); err == nil {
+			t.Errorf("ParseSpec(%q) accepted a bad zip", text)
+		}
+	}
+}
+
+func TestZipEachCellLockstep(t *testing.T) {
+	s, err := ParseSpec(zipSpecText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The zipped group is one axis: 2 shapes x 2 DCD settings.
+	if got := s.NumCells(); got != 4 {
+		t.Fatalf("NumCells = %d, want 4", got)
+	}
+	type shape struct{ nodes, w, h int }
+	var got []shape
+	var dcd []bool
+	if err := s.EachCell(func(idx int, c core.Cell) error {
+		got = append(got, shape{c.Cfg.Nodes, c.Cfg.MeshW, c.Cfg.MeshH})
+		dcd = append(dcd, c.Cfg.DCD)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []shape{{4, 2, 2}, {4, 2, 2}, {8, 4, 2}, {8, 4, 2}}
+	for i := range want {
+		if got[i] != want[i] || dcd[i] != (i%2 == 1) {
+			t.Fatalf("cell %d: shape %+v dcd %v, want %+v dcd %v", i, got[i], dcd[i], want[i], i%2 == 1)
+		}
+	}
+}
+
+// TestZipFreeDigestPinned pins a zip-free spec's digest to the value it
+// had before the zip directive existed: STATE files and manifests
+// written then must stay valid.
+func TestZipFreeDigestPinned(t *testing.T) {
+	const want = "6411f1f23c0ffe5c8c4f3adf9d1473786132bffa8626ef998394577843ac539d"
+	if got := testSpec(t).Digest(); got != want {
+		t.Fatalf("Digest = %s, want %s", got, want)
+	}
+}
+
+// TestParamAcceptsOmittedField sweeps a config field that the base
+// configuration's JSON form omits (omitempty at its zero value).
+func TestParamAcceptsOmittedField(t *testing.T) {
+	s, err := ParseSpec("apps gauss\nkinds nwcache\nmodes optimal\nparam RoundRobinDrain false,true\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rr []bool
+	if err := s.EachCell(func(idx int, c core.Cell) error {
+		rr = append(rr, c.Cfg.RoundRobinDrain)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rr) != 2 || rr[0] || !rr[1] {
+		t.Fatalf("RoundRobinDrain per cell = %v, want [false true]", rr)
+	}
+}

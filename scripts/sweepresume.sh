@@ -14,6 +14,10 @@
 #     files intact (replay skips every cell), then with the STATE files
 #     deleted but the content-addressed cache kept (every cell is
 #     adopted from the cache).
+#
+#  3. Named sweeps (nwsweep -sweep) run on the same fabric: a repeated
+#     -sweep in one directory executes zero fresh cells and prints
+#     byte-identical tables.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -100,5 +104,16 @@ done
 "$tmp/nwsweep" -grid "$spec" -dir "$int" -merge -shards 2 > "$tmp/warm-merge.txt"
 cmp "$tmp/ref-merge.txt" "$tmp/warm-merge.txt"
 cmp "$ref/merged.ndjson" "$int/merged.ndjson"
+
+# Named sweep: the second run resumes from the first run's STATE file.
+named="$tmp/named"
+"$tmp/nwsweep" -sweep drain -apps gauss,sor -scale 0.05 -dir "$named" -q > "$tmp/named-1.txt"
+"$tmp/nwsweep" -sweep drain -apps gauss,sor -scale 0.05 -dir "$named" -q > "$tmp/named-2.txt" 2> "$tmp/named.log"
+cat "$tmp/named.log" >&2
+grep -q "+ 0 fresh" "$tmp/named.log" || {
+  echo "sweepresume: repeated -sweep drain executed fresh cells" >&2
+  exit 1
+}
+cmp "$tmp/named-1.txt" "$tmp/named-2.txt"
 
 echo "sweepresume: OK (kill-resume deterministic, warm re-runs ran 0 fresh cells)" >&2
