@@ -11,9 +11,10 @@
 //
 // Report mode renders a manifest summary table, a metric delta table
 // when exactly two manifests are given, per-run metric sparklines from
-// every series file, per-phase span rollups from every trace file, and
-// — for each -cells input (an nwsweep shard or merged NDJSON) — a sweep
-// cell table. The output embeds everything (inline CSS + SVG); no
+// every series file, a summary of every trace file (span latencies,
+// event counts, ring occupancy, hottest pages: report.SummarizeTrace),
+// and — for each -cells input (an nwsweep shard or merged NDJSON) — a
+// sweep cell table. The output embeds everything (inline CSS + SVG); no
 // network, no JS.
 //
 // Diff mode compares two manifests metric by metric and exits 1 when
@@ -154,7 +155,7 @@ func main() {
 		report.SeriesSection(w, series)
 	}
 	for _, tf := range traces {
-		writeTraceSection(w, tf.path, tf.runs)
+		report.TraceSection(w, tf.path, tf.runs)
 	}
 	for _, p := range cellFs {
 		if err := writeCellsSection(w, p); err != nil {
@@ -382,73 +383,6 @@ func writeDeltaTable(w io.Writer, mans []*obs.Manifest, names []string) {
 	fmt.Fprintln(w, "</table>")
 	if total > maxRows {
 		fmt.Fprintf(w, "<p class=muted>showing the %d largest of %d deltas</p>\n", maxRows, total)
-	}
-}
-
-// writeTraceSection rolls every run's spans up by phase name: count,
-// total/mean/max duration in pcycles, busiest phases first.
-func writeTraceSection(w io.Writer, path string, runs []obs.NamedTrace) {
-	fmt.Fprintf(w, "<h2>Trace phases: %s</h2>\n", html.EscapeString(path))
-	for _, nt := range runs {
-		type rollup struct {
-			name               string
-			count              int
-			total, maxDur      int64
-			firstSeen, lastEnd int64
-		}
-		agg := make(map[string]*rollup)
-		var names []string
-		for _, s := range nt.Trace.Spans() {
-			r, ok := agg[s.Name]
-			if !ok {
-				r = &rollup{name: s.Name, firstSeen: s.Start}
-				agg[s.Name] = r
-				names = append(names, s.Name)
-			}
-			d := s.End - s.Start
-			r.count++
-			r.total += d
-			if d > r.maxDur {
-				r.maxDur = d
-			}
-			if s.Start < r.firstSeen {
-				r.firstSeen = s.Start
-			}
-			if s.End > r.lastEnd {
-				r.lastEnd = s.End
-			}
-		}
-		if len(names) == 0 {
-			continue
-		}
-		sort.Slice(names, func(i, j int) bool {
-			ri, rj := agg[names[i]], agg[names[j]]
-			if ri.total != rj.total {
-				return ri.total > rj.total
-			}
-			return ri.name < rj.name
-		})
-		title := nt.Name
-		if title == "" {
-			title = "(unnamed process)"
-		}
-		fmt.Fprintf(w, "<h3>%s — %d spans</h3>\n", html.EscapeString(title), len(nt.Trace.Spans()))
-		fmt.Fprintln(w, "<table><tr><th>phase</th><th>count</th><th>total Kpcycles</th><th>mean</th><th>max</th><th>active window</th></tr>")
-		const maxRows = 20
-		shown := names
-		if len(shown) > maxRows {
-			shown = shown[:maxRows]
-		}
-		for _, name := range shown {
-			r := agg[name]
-			fmt.Fprintf(w, "<tr><td>%s</td><td>%d</td><td>%.1f</td><td>%.0f</td><td>%d</td><td>%d–%d</td></tr>\n",
-				html.EscapeString(r.name), r.count, float64(r.total)/1e3,
-				float64(r.total)/float64(r.count), r.maxDur, r.firstSeen, r.lastEnd)
-		}
-		fmt.Fprintln(w, "</table>")
-		if len(names) > maxRows {
-			fmt.Fprintf(w, "<p class=muted>showing the %d busiest of %d phases</p>\n", maxRows, len(names))
-		}
 	}
 }
 

@@ -126,25 +126,13 @@ func main() {
 		return
 	}
 
-	var kind core.Kind
-	switch *machineF {
-	case "standard":
-		kind = core.Standard
-	case "nwcache":
-		kind = core.NWCache
-	default:
-		fatal(fmt.Errorf("unknown machine %q", *machineF))
+	kind, err := core.ParseKind(*machineF)
+	if err != nil {
+		fatal(err)
 	}
-	var mode core.PrefetchMode
-	switch *prefetch {
-	case "naive":
-		mode = core.Naive
-	case "optimal":
-		mode = core.Optimal
-	case "streamed":
-		mode = core.Streamed
-	default:
-		fatal(fmt.Errorf("unknown prefetch mode %q", *prefetch))
+	mode, err := core.ParseMode(*prefetch)
+	if err != nil {
+		fatal(err)
 	}
 	if *minFree == 0 {
 		cfg.MinFreeFrames = core.PaperMinFree(kind, mode)

@@ -414,7 +414,7 @@ func (d *Disk) Read(p *sim.Proc, from int, page PageID, block int64) ReadOutcome
 	dur := d.seekTime(mediaBlock) + d.rot + d.pageXfer
 	t0 := p.Now()
 	d.mediaAccess(p, sim.High, dur, true)
-	d.tr.Span(d.track, "disk.read", t0, p.Now())
+	d.tr.Span(d.track, "disk.read", t0, p.Now(), page)
 	d.headPos = mediaBlock
 	d.installClean(page, block, false)
 	switch d.mode {
@@ -593,11 +593,12 @@ func (d *Disk) writebackLoop(p *sim.Proc) {
 			d.wbBlks = blocks[:0]
 			d.dcd.appendBatch(p, blocks)
 		} else {
-			start := d.flt.RemapBlock(d.fltID, d.slots[group[0]].block)
+			first := d.slots[group[0]]
+			start := d.flt.RemapBlock(d.fltID, first.block)
 			dur := d.seekTime(start) + d.rot + int64(len(group))*d.pageXfer
 			t0 := p.Now()
 			d.mediaAccess(p, sim.Low, dur, false) // background write-back: low priority
-			d.tr.Span(d.track, "disk.write", t0, p.Now())
+			d.tr.Span(d.track, "disk.write", t0, p.Now(), first.page)
 			d.headPos = start + int64(len(group))
 			d.MediaWrite++
 			d.Combining.Add(float64(len(group)))

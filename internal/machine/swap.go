@@ -4,7 +4,6 @@ import (
 	"nwcache/internal/disk"
 	"nwcache/internal/optical"
 	"nwcache/internal/sim"
-	"nwcache/internal/trace"
 	"nwcache/internal/vm"
 )
 
@@ -41,7 +40,7 @@ func (m *Machine) replaceLoop(p *sim.Proc, n *Node) {
 			en.Arrived.Broadcast()
 			en.Lock.Unlock()
 			n.CleanEvicts++
-			m.emit(trace.CleanEvict, n.ID, page, 0)
+			m.Spans.Instant(m.swapTrack(n.ID), "evict.clean", p.Now(), page)
 			m.invalidateCaches(page)
 			continue
 		}
@@ -55,7 +54,6 @@ func (m *Machine) replaceLoop(p *sim.Proc, n *Node) {
 		en.Lock.Unlock()
 		m.invalidateCaches(page)
 		n.SwapOuts++
-		m.emit(trace.SwapStart, n.ID, page, 0)
 		start := p.Now()
 		n.swapSem.Acquire(p) // bound outstanding swap-outs
 		job := n.takeJob(m)
@@ -133,10 +131,8 @@ func (m *Machine) swapViaMesh(p *sim.Proc, n *Node, en *vm.Entry, page PageID, s
 	n.Pool.ReleaseFrame()
 	dur := p.Now() - start
 	n.SwapTime.Add(float64(dur))
-	n.SwapHist.Add(float64(dur))
 	m.hSwap.Observe(dur)
-	m.Spans.Span(m.swapTrack(n.ID), "swap.disk", start, p.Now())
-	m.emit(trace.SwapDone, n.ID, page, dur)
+	m.Spans.Span(m.swapTrack(n.ID), "swap.disk", start, p.Now(), page)
 	en.Lock.Lock(p)
 	en.State = vm.Unmapped
 	en.Owner = -1
@@ -165,9 +161,9 @@ func (m *Machine) sendPageToDisk(p *sim.Proc, n *Node, page PageID) {
 			break
 		}
 		// NACKed: the controller recorded us; wait for its OK message.
-		m.emit(trace.DiskNACK, n.ID, page, int64(dn))
+		t0 := p.Now()
 		n.waitOK(m.E, p, page)
-		m.emit(trace.DiskOK, n.ID, page, int64(dn))
+		m.Spans.Span(m.swapTrack(n.ID), "swap.nack", t0, p.Now(), page)
 	}
 	// ACK message back across the mesh; the frame is reusable on receipt.
 	ackArrive := m.Mesh.Transit(p.Now(), dn, n.ID, m.Cfg.CtrlMsgLen)
@@ -209,7 +205,7 @@ func (m *Machine) swapToRing(p *sim.Proc, n *Node, en *vm.Entry, page PageID, st
 	entry := m.Ring.Insert(n.ID, page)
 	n.ringTx.Unlock()
 	m.flt.NoteRingInsert(p.Now())
-	m.emit(trace.RingInsert, n.ID, page, 0)
+	m.Spans.Instant(m.swapTrack(n.ID), "ring.insert", p.Now(), page)
 	if m.conservative() {
 		m.swapRingConservative(p, n, en, entry, page, start)
 		return
@@ -218,10 +214,8 @@ func (m *Machine) swapToRing(p *sim.Proc, n *Node, en *vm.Entry, page PageID, st
 	n.Pool.ReleaseFrame()
 	dur := p.Now() - start
 	n.SwapTime.Add(float64(dur))
-	n.SwapHist.Add(float64(dur))
 	m.hSwap.Observe(dur)
-	m.Spans.Span(m.swapTrack(n.ID), "swap.ring", start, p.Now())
-	m.emit(trace.SwapDone, n.ID, page, dur)
+	m.Spans.Span(m.swapTrack(n.ID), "swap.ring", start, p.Now(), page)
 	en.Lock.Lock(p)
 	en.State = vm.OnRing
 	en.RingEntry = entry
@@ -280,8 +274,6 @@ func (m *Machine) swapRingConservative(p *sim.Proc, n *Node, en *vm.Entry, entry
 	n.Pool.ReleaseFrame()
 	dur := p.Now() - start
 	n.SwapTime.Add(float64(dur))
-	n.SwapHist.Add(float64(dur))
 	m.hSwap.Observe(dur)
-	m.Spans.Span(m.swapTrack(n.ID), "swap.ring", start, p.Now())
-	m.emit(trace.SwapDone, n.ID, page, dur)
+	m.Spans.Span(m.swapTrack(n.ID), "swap.ring", start, p.Now(), page)
 }

@@ -13,14 +13,20 @@ import (
 // from pcycles via NSPerTick; because that division is lossy, every
 // event also carries the exact pcycle values in its args ("pc", "dpc"),
 // which the decoder treats as authoritative — encode → decode returns
-// the original spans bit-for-bit.
+// the original spans bit-for-bit. The event's operand rides in
+// args.arg, and each process_name record carries the number of events
+// its trace dropped at the cap, so a truncated trace stays visibly
+// truncated after a round trip.
 
 // chromeArgs is the args payload of an exported event: pc/dpc are exact
-// pcycle start/duration; name is used by "M" metadata records.
+// pcycle start/duration and arg the event's operand; name and dropped
+// are used by "M" metadata records.
 type chromeArgs struct {
-	PC   int64  `json:"pc,omitempty"`
-	DPC  int64  `json:"dpc,omitempty"`
-	Name string `json:"name,omitempty"`
+	PC      int64  `json:"pc,omitempty"`
+	DPC     int64  `json:"dpc,omitempty"`
+	Arg     int64  `json:"arg,omitempty"`
+	Name    string `json:"name,omitempty"`
+	Dropped uint64 `json:"dropped,omitempty"`
 }
 
 // chromeEvent is one record in traceEvents.
@@ -78,7 +84,7 @@ func WriteChromeMulti(w io.Writer, traces []NamedTrace) error {
 		}
 		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid,
-			Args: chromeArgs{Name: nt.Name},
+			Args: chromeArgs{Name: nt.Name, Dropped: t.dropped},
 		})
 		tracks := make([]int, 0, len(t.tracks))
 		for id := range t.tracks {
@@ -95,14 +101,14 @@ func WriteChromeMulti(w io.Writer, traces []NamedTrace) error {
 			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
 				Name: s.Name, Ph: "X", Pid: pid, Tid: s.Track,
 				Ts: float64(s.Start) * usPerTick, Dur: float64(s.End-s.Start) * usPerTick,
-				Args: chromeArgs{PC: s.Start, DPC: s.End - s.Start},
+				Args: chromeArgs{PC: s.Start, DPC: s.End - s.Start, Arg: s.Arg},
 			})
 		}
 		for _, in := range t.instants {
 			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
 				Name: in.Name, Ph: "i", Pid: pid, Tid: in.Track,
 				Ts: float64(in.At) * usPerTick, Scope: "t",
-				Args: chromeArgs{PC: in.At},
+				Args: chromeArgs{PC: in.At, Arg: in.Arg},
 			})
 		}
 	}
@@ -110,11 +116,23 @@ func WriteChromeMulti(w io.Writer, traces []NamedTrace) error {
 	return enc.Encode(&doc)
 }
 
+// maxNSPerTick bounds the clock scale a decoded file may declare, so
+// every re-encoded timestamp stays a finite JSON number.
+const maxNSPerTick = 1e9
+
 // ReadChrome decodes a file produced by WriteChrome/WriteChromeMulti
 // back into per-process traces, in pid order. Spans and instants are
-// restored exactly from the pc/dpc args; events written by other tools
-// (without those args) fall back to rounding the microsecond timestamps.
+// restored exactly from the pc/dpc/arg args; events written by other
+// tools (without those args) fall back to rounding the microsecond
+// timestamps. Each trace holds at most DefaultTraceCap events; its
+// Dropped count is the one recorded in the file plus any events the cap
+// discarded while reading.
 func ReadChrome(r io.Reader) ([]NamedTrace, error) {
+	return readChrome(r, 0)
+}
+
+// readChrome is ReadChrome with the per-trace cap of NewTrace(max).
+func readChrome(r io.Reader, max int) ([]NamedTrace, error) {
 	var doc chromeDoc
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("obs: decoding chrome trace: %w", err)
@@ -123,13 +141,16 @@ func ReadChrome(r io.Reader) ([]NamedTrace, error) {
 	if nsPerTick <= 0 {
 		nsPerTick = 5
 	}
+	if nsPerTick > maxNSPerTick {
+		return nil, fmt.Errorf("obs: chrome trace nsPerTick %g exceeds %g", nsPerTick, float64(maxNSPerTick))
+	}
 	byPid := make(map[int]*NamedTrace)
 	pids := []int{}
 	get := func(pid int) *NamedTrace {
 		if nt, ok := byPid[pid]; ok {
 			return nt
 		}
-		tr := NewTrace(0)
+		tr := NewTrace(max)
 		tr.NSPerTick = nsPerTick
 		nt := &NamedTrace{Trace: tr}
 		byPid[pid] = nt
@@ -146,6 +167,7 @@ func ReadChrome(r io.Reader) ([]NamedTrace, error) {
 			switch ev.Name {
 			case "process_name":
 				nt.Name = ev.Args.Name
+				nt.Trace.dropped += ev.Args.Dropped
 			case "thread_name":
 				nt.Trace.SetTrack(ev.Tid, ev.Args.Name)
 			}
@@ -154,13 +176,13 @@ func ReadChrome(r io.Reader) ([]NamedTrace, error) {
 			if start == 0 && dur == 0 && (ev.Ts != 0 || ev.Dur != 0) {
 				start, dur = ticks(ev.Ts), ticks(ev.Dur)
 			}
-			nt.Trace.Span(ev.Tid, ev.Name, start, start+dur)
+			nt.Trace.Span(ev.Tid, ev.Name, start, start+dur, ev.Args.Arg)
 		case "i", "I":
 			at := ev.Args.PC
 			if at == 0 && ev.Ts != 0 {
 				at = ticks(ev.Ts)
 			}
-			nt.Trace.Instant(ev.Tid, ev.Name, at)
+			nt.Trace.Instant(ev.Tid, ev.Name, at, ev.Args.Arg)
 		}
 	}
 	sort.Ints(pids)

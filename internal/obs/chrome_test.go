@@ -15,10 +15,10 @@ func TestChromeRoundTrip(t *testing.T) {
 	tr := NewTrace(0)
 	tr.SetTrack(0, "cpu0")
 	tr.SetTrack(3, "disk@2")
-	tr.Span(0, "fault.disk", 17, 4211)   // 17 pcycles = 0.085 µs: sub-µs precision
-	tr.Span(0, "fault.ring", 4300, 4301) // 1-pcycle span
-	tr.Span(3, "disk.write", 100000, 250000)
-	tr.Instant(3, "nack", 123457)
+	tr.Span(0, "fault.disk", 17, 4211, 88)  // 17 pcycles = 0.085 µs: sub-µs precision
+	tr.Span(0, "fault.ring", 4300, 4301, 0) // 1-pcycle span
+	tr.Span(3, "disk.write", 100000, 250000, -7)
+	tr.Instant(3, "ring.insert", 123457, 1<<40)
 
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf, "nwsim"); err != nil {
@@ -48,9 +48,9 @@ func TestChromeRoundTrip(t *testing.T) {
 
 func TestChromeMultiProcess(t *testing.T) {
 	a := NewTrace(0)
-	a.Span(1, "x", 0, 10)
+	a.Span(1, "x", 0, 10, 0)
 	b := NewTrace(0)
-	b.Span(2, "y", 5, 6)
+	b.Span(2, "y", 5, 6, 3)
 	var buf bytes.Buffer
 	if err := WriteChromeMulti(&buf, []NamedTrace{{"run-a", a}, {"run-b", b}}); err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestChromeMultiProcess(t *testing.T) {
 func TestChromeFormatShape(t *testing.T) {
 	tr := NewTrace(0)
 	tr.SetTrack(0, "cpu0")
-	tr.Span(0, "op", 200, 400) // 200 pcycles @5ns = 1 µs
+	tr.Span(0, "op", 200, 400, 0) // 200 pcycles @5ns = 1 µs
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf, "p"); err != nil {
 		t.Fatal(err)
@@ -140,5 +140,50 @@ func TestManifestRoundTrip(t *testing.T) {
 	d3.Write([]byte("different\n"))
 	if d3.Sum() == m.Digest {
 		t.Fatal("digest failed to distinguish outputs")
+	}
+}
+
+// A capped trace must stay visibly capped: the dropped count rides in
+// the export, and events the reader's own cap discards add to it.
+func TestChromeKeepsDroppedCount(t *testing.T) {
+	tr := NewTrace(3)
+	for i := int64(0); i < 5; i++ {
+		tr.Span(0, "fault.ring", 10*i, 10*i+5, i)
+	}
+	if tr.Len() != 3 || tr.Dropped() != 2 {
+		t.Fatalf("len=%d dropped=%d, want 3/2", tr.Len(), tr.Dropped())
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf, "capped"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadChrome(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt := got[0].Trace; rt.Len() != 3 || rt.Dropped() != 2 {
+		t.Fatalf("read back len=%d dropped=%d, want 3/2", rt.Len(), rt.Dropped())
+	}
+	got, err = readChrome(bytes.NewReader(buf.Bytes()), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt := got[0].Trace; rt.Len() != 2 || rt.Dropped() != 3 {
+		t.Fatalf("read under a cap of 2: len=%d dropped=%d, want 2/3", rt.Len(), rt.Dropped())
+	}
+	// An uncapped trace writes no dropped field at all.
+	var clean bytes.Buffer
+	if err := NewTrace(0).WriteChrome(&clean, "p"); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(clean.String(), "dropped") {
+		t.Fatalf("complete trace carries a dropped field: %s", clean.String())
+	}
+}
+
+func TestChromeRejectsHugeClockScale(t *testing.T) {
+	in := `{"traceEvents":[],"otherData":{"nsPerTick":1e300}}`
+	if _, err := ReadChrome(strings.NewReader(in)); err == nil {
+		t.Fatal("nsPerTick 1e300 accepted")
 	}
 }

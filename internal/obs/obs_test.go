@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"reflect"
 	"sort"
 	"strings"
@@ -24,8 +25,8 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	g.Add(-1)
 	tg.Set(10, 4)
 	h.Observe(123)
-	tr.Span(0, "x", 1, 2)
-	tr.Instant(0, "y", 3)
+	tr.Span(0, "x", 1, 2, 0)
+	tr.Instant(0, "y", 3, 0)
 	tr.SetTrack(0, "cpu0")
 	if c.Value() != 0 || g.Value() != 0 || tg.Value() != 0 || h.Count() != 0 || tr.Len() != 0 {
 		t.Fatal("nil handles must read as zero")
@@ -187,11 +188,37 @@ func TestSnapshotMerge(t *testing.T) {
 
 func TestTraceCapDrops(t *testing.T) {
 	tr := NewTrace(2)
-	tr.Span(0, "a", 0, 1)
-	tr.Instant(0, "b", 2)
-	tr.Span(0, "c", 3, 4)
+	tr.Span(0, "a", 0, 1, 0)
+	tr.Instant(0, "b", 2, 0)
+	tr.Span(0, "c", 3, 4, 0)
 	if tr.Len() != 2 || tr.Dropped() != 1 {
 		t.Fatalf("len=%d dropped=%d, want 2/1", tr.Len(), tr.Dropped())
+	}
+}
+
+// A nil trace is the "tracing off" handle the machine records through:
+// every method must be a no-op that reads as empty, and exporting it
+// must still yield a readable, event-free document.
+func TestNilTraceIsNoOp(t *testing.T) {
+	var tr *Trace
+	tr.SetTrack(1, "cpu1")
+	tr.Span(1, "fault", 0, 10, 7)
+	tr.Instant(1, "evict", 5, 7)
+	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Spans() != nil || tr.Instants() != nil || tr.TrackName(1) != "" {
+		t.Fatal("nil trace not empty")
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf, "m0"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadChrome(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nt := range got {
+		if nt.Trace.Len() != 0 {
+			t.Fatalf("nil trace exported %d events", nt.Trace.Len())
+		}
 	}
 }
 

@@ -2,19 +2,23 @@ package obs
 
 // Span is one completed interval on the simulated clock: a named
 // operation on a track (a lane in the trace viewer — one per CPU, disk
-// arm, or NWCache interface), from Start to End in pcycles.
+// arm, or NWCache interface), from Start to End in pcycles. Arg is one
+// optional operand; the machine records the page there.
 type Span struct {
 	Track int    `json:"track"`
 	Name  string `json:"name"`
 	Start int64  `json:"start"`
 	End   int64  `json:"end"`
+	Arg   int64  `json:"arg,omitempty"`
 }
 
-// Instant is a zero-duration mark on a track.
+// Instant is a zero-duration mark on a track, with one optional operand
+// like Span's.
 type Instant struct {
 	Track int    `json:"track"`
 	Name  string `json:"name"`
 	At    int64  `json:"at"`
+	Arg   int64  `json:"arg,omitempty"`
 }
 
 // Trace collects spans and instants stamped with simulated time. A nil
@@ -55,7 +59,7 @@ func (t *Trace) SetTrack(track int, name string) {
 }
 
 // Span records a completed interval. Nil-safe.
-func (t *Trace) Span(track int, name string, start, end int64) {
+func (t *Trace) Span(track int, name string, start, end, arg int64) {
 	if t == nil {
 		return
 	}
@@ -63,11 +67,11 @@ func (t *Trace) Span(track int, name string, start, end int64) {
 		t.dropped++
 		return
 	}
-	t.spans = append(t.spans, Span{Track: track, Name: name, Start: start, End: end})
+	t.spans = append(t.spans, Span{Track: track, Name: name, Start: start, End: end, Arg: arg})
 }
 
 // Instant records a point event. Nil-safe.
-func (t *Trace) Instant(track int, name string, at int64) {
+func (t *Trace) Instant(track int, name string, at, arg int64) {
 	if t == nil {
 		return
 	}
@@ -75,7 +79,7 @@ func (t *Trace) Instant(track int, name string, at int64) {
 		t.dropped++
 		return
 	}
-	t.instants = append(t.instants, Instant{Track: track, Name: name, At: at})
+	t.instants = append(t.instants, Instant{Track: track, Name: name, At: at, Arg: arg})
 }
 
 // Spans returns the recorded spans in emission order.
