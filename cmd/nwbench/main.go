@@ -79,7 +79,6 @@ func main() {
 		reliability = flag.String("reliability", "", "run the fault-injection reliability matrix for this application instead of the tables")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed for the reliability matrix's fault injector")
 	)
-	flag.IntVar(jobs, "parallel", runtime.GOMAXPROCS(0), "alias for -j")
 	flag.Parse()
 
 	if *cpuprofile != "" {

@@ -320,9 +320,9 @@ func runGrid(spec *sweep.Spec, o gridOpts) int {
 		},
 	}
 	if o.eventsOut != "" {
-		// The same NDJSON event stream the service's /jobs/{id}/events
-		// endpoint serves, written as a file: seqs are stamped here since
-		// there is no event log in between.
+		// The shard's lifecycle events as an NDJSON file, the format
+		// obs.ReadEventsNDJSON reads: seqs are stamped here, in
+		// emission order.
 		ef, err := os.Create(o.eventsOut)
 		if err != nil {
 			return hard(err)

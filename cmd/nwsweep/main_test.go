@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nwcache/internal/obs"
 )
 
 // TestMain doubles the test binary as the nwsweep CLI: when re-exec'd
@@ -194,5 +196,86 @@ func TestSweepOverridesAndResumes(t *testing.T) {
 	}
 	if second != first {
 		t.Fatalf("resumed tables differ:\n%s\nvs\n%s", first, second)
+	}
+}
+
+// TestGridEventsOut runs a 4-cell grid with -events-out and reads the
+// file back with obs.ReadEventsNDJSON: the stream a real binary writes
+// is numbered contiguously, runs shard.start to shard.done complete,
+// settles each cell exactly once, and a warm re-run into the same
+// directory replays every cell from STATE without starting any.
+func TestGridEventsOut(t *testing.T) {
+	spec, dir := writeSpec(t, "1..4")
+	run := func(name string) []obs.Event {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), name)
+		code, out := runCLI(t, "-grid", spec, "-dir", dir, "-events-out", path, "-q")
+		if code != exitOK {
+			t.Fatalf("exit = %d, want %d\n%s", code, exitOK, out)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		evs, err := obs.ReadEventsNDJSON(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(evs) == 0 {
+			t.Fatal("no events written")
+		}
+		for i, ev := range evs {
+			if ev.Seq != int64(i+1) {
+				t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, i+1)
+			}
+		}
+		if first := evs[0]; first.Type != obs.EventShardStart {
+			t.Fatalf("first event = %+v, want shard.start", first)
+		}
+		last := evs[len(evs)-1]
+		if last.Type != obs.EventShardDone || last.Reason != "complete" {
+			t.Fatalf("last event = %+v, want shard.done complete", last)
+		}
+		if last.Done != 4 || last.Total != 4 {
+			t.Fatalf("final progress %d/%d, want 4/4", last.Done, last.Total)
+		}
+		settled := map[int]int{}
+		for _, ev := range evs {
+			switch ev.Type {
+			case obs.EventCellDone, obs.EventCellPoisoned, obs.EventCellState, obs.EventCellCache:
+				settled[ev.Idx]++
+			}
+		}
+		if len(settled) != 4 {
+			t.Fatalf("terminal events cover %d cells, want 4: %v", len(settled), settled)
+		}
+		for idx, n := range settled {
+			if n != 1 {
+				t.Fatalf("cell %d has %d terminal events, want 1", idx, n)
+			}
+		}
+		return evs
+	}
+	count := func(evs []obs.Event, typ string) int {
+		n := 0
+		for _, ev := range evs {
+			if ev.Type == typ {
+				n++
+			}
+		}
+		return n
+	}
+
+	cold := run("cold.ndjson")
+	if got := count(cold, obs.EventCellStart); got != 4 {
+		t.Fatalf("cold run started %d cells, want 4", got)
+	}
+	warm := run("warm.ndjson")
+	if got := count(warm, obs.EventCellState); got != 4 {
+		t.Fatalf("warm run replayed %d cells from STATE, want 4", got)
+	}
+	if got := count(warm, obs.EventCellStart); got != 0 {
+		t.Fatalf("warm run started %d cells, want 0", got)
 	}
 }

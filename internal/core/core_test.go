@@ -168,3 +168,49 @@ func TestRunSeedsPropagatesErrors(t *testing.T) {
 		t.Fatal("unknown app accepted")
 	}
 }
+
+// TestPaperCellsHoldInvariants runs every paper configuration — each
+// application on both machines under both prefetch extremes, with the
+// paper's free-frame floors — under memory pressure and requires the
+// machine's end-of-run invariants (single-copy residency, ring linkage,
+// frame conservation, quiescence) to hold.
+func TestPaperCellsHoldInvariants(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Scale = 0.25
+	cfg.Seed = 1
+	cfg.MemPerNode = 20 * cfg.PageSize
+	var cells, swapping int
+	for _, app := range Apps() {
+		for _, kind := range []Kind{Standard, NWCache} {
+			for _, mode := range []PrefetchMode{Naive, Optimal} {
+				c := ApplyPaperMinFree(cfg, kind, mode)
+				prog, err := NewProgram(app, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := NewMachine(c, kind, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := m.Run(prog)
+				if err != nil {
+					t.Fatalf("%s %v/%v: %v", app, kind, mode, err)
+				}
+				if err := m.CheckInvariants(true); err != nil {
+					t.Errorf("%s %v/%v: %v", app, kind, mode, err)
+				}
+				cells++
+				if res.SwapOuts > 0 {
+					swapping++
+				}
+			}
+		}
+	}
+	if cells != 28 {
+		t.Fatalf("checked %d cells, want the paper's 28", cells)
+	}
+	if swapping == 0 {
+		t.Fatal("no cell swapped out: the ring and swap checks saw no traffic")
+	}
+	t.Logf("%d of %d cells swapped out", swapping, cells)
+}

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"nwcache/internal/core"
-	"nwcache/internal/obs"
 )
 
 // DefaultMemoLimit bounds the in-process memo cache. A million-cell
@@ -104,17 +103,16 @@ func (e *PanicError) Error() string {
 // Pool is a bounded worker pool with a cell-key memo cache. The zero Pool
 // is not usable; construct with New.
 type Pool struct {
-	sem      chan struct{}
-	mu       sync.Mutex
-	memo     map[string]*Future
-	lru      *list.List // completed futures, most recent at the front
-	limit    int        // max completed futures retained; <= 0: unbounded
-	backing  Backing
-	runs     int
-	hits     int
-	loads    int // memo misses served by the backing store
-	evicts   int
-	inflight int // fresh submissions not yet completed (queued + running)
+	sem     chan struct{}
+	mu      sync.Mutex
+	memo    map[string]*Future
+	lru     *list.List // completed futures, most recent at the front
+	limit   int        // max completed futures retained; <= 0: unbounded
+	backing Backing
+	runs    int
+	hits    int
+	loads   int // memo misses served by the backing store
+	evicts  int
 }
 
 // New returns a pool running at most workers simulations concurrently.
@@ -187,7 +185,6 @@ func (p *Pool) Submit(c core.Cell) (f *Future, fresh bool) {
 	}
 	f = &Future{cell: c, key: key, done: make(chan struct{})}
 	p.memo[key] = f
-	p.inflight++
 	b := p.backing
 	p.mu.Unlock()
 	go func() {
@@ -197,7 +194,6 @@ func (p *Pool) Submit(c core.Cell) (f *Future, fresh bool) {
 			// Completed: enter the LRU (evicting over the bound). In-flight
 			// futures are pinned — they only become evictable here.
 			p.mu.Lock()
-			p.inflight--
 			if p.memo[key] == f {
 				f.elem = p.lru.PushFront(f)
 				p.evictOverLimit()
@@ -266,72 +262,6 @@ func (p *Pool) MemoLen() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.memo)
-}
-
-// QueueDepth returns the number of fresh submissions that have not yet
-// completed — cells running plus cells queued behind the worker bound.
-func (p *Pool) QueueDepth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.inflight
-}
-
-// Observe registers the pool's scheduling and memo-cache accounting as
-// pull probes under sc (typically a "pool" scope of a service or job
-// registry), so queue depth and cache efficiency land in every metrics
-// scrape and series snapshot:
-//
-//	runs         distinct simulations executed (counter)
-//	hits         submissions served by the memo (counter)
-//	loads        memo misses served by the backing store (counter)
-//	evicts       LRU evictions (counter)
-//	hit_pct      share of submissions that avoided a simulation (gauge)
-//	queue_depth  fresh submissions queued or running (gauge)
-//	memo_len     futures currently memoized (gauge)
-//
-// Probes are pull-only: an unscraped pool pays nothing. Registering the
-// same scope twice panics (the obs probe-duplicate rule). Nil-safe on a
-// nil scope.
-func (p *Pool) Observe(sc *obs.Scope) {
-	sc.ProbeCounter("runs", func() int64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return int64(p.runs)
-	})
-	sc.ProbeCounter("hits", func() int64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return int64(p.hits)
-	})
-	sc.ProbeCounter("loads", func() int64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return int64(p.loads)
-	})
-	sc.ProbeCounter("evicts", func() int64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return int64(p.evicts)
-	})
-	sc.ProbeGauge("hit_pct", func() int64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		subs := p.runs + p.hits + p.loads
-		if subs == 0 {
-			return 0
-		}
-		return int64(100 * (p.hits + p.loads) / subs)
-	})
-	sc.ProbeGauge("queue_depth", func() int64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return int64(p.inflight)
-	})
-	sc.ProbeGauge("memo_len", func() int64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return int64(len(p.memo))
-	})
 }
 
 // RunSeeds executes the application once per seed (cfg.Seed, cfg.Seed+1,

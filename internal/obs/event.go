@@ -4,39 +4,34 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
-	"strconv"
-	"sync"
 )
 
 // Structured lifecycle events: one NDJSON line per state change of a
-// sweep shard or service job (cell admitted, satisfied from STATE or
-// cache, finished, poisoned; shard/job started and done). The format is
-// shared between batch runs (nwsweep -events-out) and the service layer
-// (nwserve's /jobs/{id}/events), so one fuzz-covered parser keeps both
-// streams honest. Events are advisory telemetry — they carry wall-clock
-// durations and ETAs and are never part of a determinism digest.
+// sweep shard (cell admitted, satisfied from STATE or cache, finished,
+// poisoned; shard started and done). nwsweep -events-out writes the
+// stream and ReadEventsNDJSON, a fuzz-covered parser, reads it back.
+// Events are advisory telemetry — they carry wall-clock durations and
+// ETAs and are never part of a determinism digest.
 
-// Event is one lifecycle event. Seq is assigned by the EventLog (or the
-// stream writer) at append time; producers leave it zero.
+// Event is one lifecycle event. Seq is assigned by the stream writer
+// at append time; producers leave it zero.
 type Event struct {
 	Seq  int64  `json:"seq,omitempty"`
-	Job  string `json:"job,omitempty"`  // owning service job, if any
 	Type string `json:"type"`           // e.g. "cell.done", "shard.start"
 	Cell string `json:"cell,omitempty"` // cell label ("app/kind/mode seed=N")
-	Key  string `json:"key,omitempty"`  // cell key, or the spec digest on shard/job events
+	Key  string `json:"key,omitempty"`  // cell key, or the spec digest on shard events
 	Idx  int    `json:"idx,omitempty"`  // grid index of the cell
 	// Reason qualifies terminal events: a poison verdict ("panic",
 	// "timeout", "stalled", "wedged") or a shard outcome ("complete",
 	// "incomplete", "poisoned").
 	Reason     string `json:"reason,omitempty"`
 	Done       int    `json:"done,omitempty"`  // cells settled so far
-	Total      int    `json:"total,omitempty"` // cells owned by the shard/job
+	Total      int    `json:"total,omitempty"` // cells owned by the shard
 	DurationNS int64  `json:"dur_ns,omitempty"`
 	EtaNS      int64  `json:"eta_ns,omitempty"` // projected remaining wall time
 }
 
-// Event types emitted by the sweep runner and the service layer.
+// Event types emitted by the sweep runner.
 const (
 	EventShardStart   = "shard.start"
 	EventShardDone    = "shard.done"
@@ -45,107 +40,10 @@ const (
 	EventCellCache    = "cell.cache" // adopted from the result cache
 	EventCellDone     = "cell.done"
 	EventCellPoisoned = "cell.poisoned"
-	EventJobQueued    = "job.queued"
-	EventJobStart     = "job.start"
-	EventJobDone      = "job.done"
-	EventJobFailed    = "job.failed"
-	EventJobPoisoned  = "job.poisoned"
-	EventJobCancelled = "job.cancelled"
 )
 
-// EventLog is a bounded, closable event buffer with long-poll support:
-// producers Append, consumers read Since(seq) and block on Wake. When
-// the buffer overflows its bound the oldest events are dropped (the
-// sequence numbers keep counting, so a reader can detect the gap).
-type EventLog struct {
-	mu      sync.Mutex
-	max     int
-	evs     []Event
-	next    int64 // next Seq to assign (first event gets 1)
-	dropped int64
-	closed  bool
-	wake    chan struct{}
-}
-
-// DefaultEventLogBound caps an EventLog constructed with max <= 0.
-const DefaultEventLogBound = 8192
-
-// NewEventLog returns an empty log retaining at most max events.
-func NewEventLog(max int) *EventLog {
-	if max <= 0 {
-		max = DefaultEventLogBound
-	}
-	return &EventLog{max: max, next: 1, wake: make(chan struct{})}
-}
-
-// Append stamps ev with the next sequence number, stores it, and wakes
-// blocked readers. Appending to a closed log is a no-op. The stamped
-// event is returned (useful for tee-ing to a file).
-func (l *EventLog) Append(ev Event) Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ev
-	}
-	ev.Seq = l.next
-	l.next++
-	l.evs = append(l.evs, ev)
-	if len(l.evs) > l.max {
-		over := len(l.evs) - l.max
-		l.evs = append(l.evs[:0], l.evs[over:]...)
-		l.dropped += int64(over)
-	}
-	close(l.wake)
-	l.wake = make(chan struct{})
-	return ev
-}
-
-// Since returns every retained event with Seq > seq (a copy) and
-// whether the log has been closed.
-func (l *EventLog) Since(seq int64) (evs []Event, closed bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	i := len(l.evs)
-	for i > 0 && l.evs[i-1].Seq > seq {
-		i--
-	}
-	if i < len(l.evs) {
-		evs = append([]Event(nil), l.evs[i:]...)
-	}
-	return evs, l.closed
-}
-
-// Dropped reports how many events the bound has discarded.
-func (l *EventLog) Dropped() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
-// Wake returns a channel closed on the next Append or Close. Fetch it
-// BEFORE calling Since to avoid missing an event between the check and
-// the wait.
-func (l *EventLog) Wake() <-chan struct{} {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.wake
-}
-
-// Close marks the log terminal and wakes all readers; ServeEvents
-// streams drain and return. Idempotent.
-func (l *EventLog) Close() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	l.closed = true
-	close(l.wake)
-	l.wake = make(chan struct{})
-}
-
 // WriteEventsNDJSON writes one JSON object per line per event — the
-// format -events-out emits and the /jobs/{id}/events endpoint streams.
+// format -events-out emits.
 func WriteEventsNDJSON(w io.Writer, evs []Event) error {
 	enc := json.NewEncoder(w)
 	for i := range evs {
@@ -168,37 +66,4 @@ func ReadEventsNDJSON(r io.Reader) ([]Event, error) {
 		out = append(out, ev)
 	}
 	return out, nil
-}
-
-// ServeEvents streams log as NDJSON over HTTP: a full replay of the
-// retained events, then a long-poll follow until the log closes or the
-// client disconnects. Query parameters: since=N skips events with
-// Seq <= N; follow=0 returns after the replay instead of following.
-func ServeEvents(w http.ResponseWriter, r *http.Request, log *EventLog) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	since, _ := strconv.ParseInt(r.URL.Query().Get("since"), 10, 64)
-	follow := r.URL.Query().Get("follow") != "0"
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for {
-		wake := log.Wake()
-		evs, closed := log.Since(since)
-		for i := range evs {
-			if err := enc.Encode(&evs[i]); err != nil {
-				return
-			}
-			since = evs[i].Seq
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if closed || !follow {
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-wake:
-		}
-	}
 }

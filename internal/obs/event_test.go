@@ -2,73 +2,15 @@ package obs
 
 import (
 	"bytes"
-	"context"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
-
-func TestEventLogAppendAssignsSeq(t *testing.T) {
-	l := NewEventLog(0)
-	a := l.Append(Event{Type: EventShardStart})
-	b := l.Append(Event{Type: EventCellDone})
-	if a.Seq != 1 || b.Seq != 2 {
-		t.Fatalf("Seq = %d, %d, want 1, 2", a.Seq, b.Seq)
-	}
-	evs, closed := l.Since(0)
-	if len(evs) != 2 || closed {
-		t.Fatalf("Since(0) = %d events, closed=%v, want 2, false", len(evs), closed)
-	}
-	evs, _ = l.Since(1)
-	if len(evs) != 1 || evs[0].Type != EventCellDone {
-		t.Fatalf("Since(1) = %+v, want just the cell.done event", evs)
-	}
-}
-
-func TestEventLogBoundDropsOldest(t *testing.T) {
-	l := NewEventLog(4)
-	for i := 0; i < 10; i++ {
-		l.Append(Event{Type: EventCellDone, Idx: i})
-	}
-	evs, _ := l.Since(0)
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
-	}
-	if evs[0].Seq != 7 || evs[3].Seq != 10 {
-		t.Fatalf("retained seqs %d..%d, want 7..10", evs[0].Seq, evs[3].Seq)
-	}
-	if l.Dropped() != 6 {
-		t.Fatalf("Dropped = %d, want 6", l.Dropped())
-	}
-}
-
-func TestEventLogWakeOnAppendAndClose(t *testing.T) {
-	l := NewEventLog(0)
-	wake := l.Wake()
-	l.Append(Event{Type: EventCellStart})
-	select {
-	case <-wake:
-	case <-time.After(time.Second):
-		t.Fatal("Append did not wake a waiting reader")
-	}
-	wake = l.Wake()
-	l.Close()
-	select {
-	case <-wake:
-	case <-time.After(time.Second):
-		t.Fatal("Close did not wake a waiting reader")
-	}
-	if ev := l.Append(Event{Type: EventCellDone}); ev.Seq != 0 {
-		t.Fatalf("Append after Close stamped Seq %d, want 0 (no-op)", ev.Seq)
-	}
-}
 
 func TestEventsNDJSONRoundTrip(t *testing.T) {
 	in := []Event{
 		{Seq: 1, Type: EventShardStart, Key: "abc", Total: 4},
-		{Seq: 2, Job: "j1", Type: EventCellDone, Cell: "em3d/nwcache/naive seed=1",
+		{Seq: 2, Type: EventCellDone, Cell: "em3d/nwcache/naive seed=1",
 			Key: "k", Idx: 2, Done: 1, Total: 4, DurationNS: 1500, EtaNS: 4500},
 		{Seq: 3, Type: EventCellPoisoned, Reason: "panic"},
 	}
@@ -82,75 +24,6 @@ func TestEventsNDJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip mismatch:\n in %+v\nout %+v", in, out)
-	}
-}
-
-func TestServeEventsReplayAndFollow(t *testing.T) {
-	l := NewEventLog(0)
-	l.Append(Event{Type: EventShardStart})
-	l.Append(Event{Type: EventCellStart, Idx: 0})
-
-	// Follow mode: a concurrent append and the close both reach the
-	// stream, which ends when the log closes.
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		l.Append(Event{Type: EventCellDone, Idx: 0})
-		l.Append(Event{Type: EventShardDone, Reason: "complete"})
-		l.Close()
-	}()
-	req := httptest.NewRequest("GET", "/events", nil)
-	rec := httptest.NewRecorder()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ServeEvents(rec, req, l)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("ServeEvents did not finish after Close")
-	}
-	evs, err := ReadEventsNDJSON(rec.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 4 {
-		t.Fatalf("streamed %d events, want 4: %+v", len(evs), evs)
-	}
-	if evs[3].Type != EventShardDone {
-		t.Fatalf("last event %q, want shard.done", evs[3].Type)
-	}
-
-	// since+follow=0: the replay is bounded and honors the cursor.
-	req = httptest.NewRequest("GET", "/events?since=2&follow=0", nil)
-	rec = httptest.NewRecorder()
-	ServeEvents(rec, req, l)
-	evs, err = ReadEventsNDJSON(rec.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 2 || evs[0].Seq != 3 {
-		t.Fatalf("since=2 replay = %+v, want seqs 3..4", evs)
-	}
-}
-
-func TestServeEventsClientDisconnect(t *testing.T) {
-	l := NewEventLog(0)
-	l.Append(Event{Type: EventShardStart})
-	ctx, cancel := context.WithCancel(context.Background())
-	req := httptest.NewRequest("GET", "/events", nil).WithContext(ctx)
-	rec := httptest.NewRecorder()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ServeEvents(rec, req, l)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("ServeEvents did not return on client disconnect")
 	}
 }
 

@@ -196,17 +196,23 @@ func promName(name string) string {
 	return sb.String()
 }
 
-// WriteMetricsText writes frames in Prometheus text exposition format:
-// one sample per metric per frame, with # TYPE headers emitted once per
-// metric name across all frames. label returns the label set (including
-// braces, e.g. `{job="j1",cell="gauss"}`, or "") for frame i — the
-// seam that lets the service layer attach job/cell labels while the
-// single-run live server keeps its run label.
-func WriteMetricsText(w io.Writer, frames []*LiveSample, label func(i int, f *LiveSample) string) error {
+func (s *LiveServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	writeMetricsText(w, s.set.Frames())
+}
+
+// writeMetricsText writes frames in Prometheus text exposition format:
+// one sample per metric per frame, labeled with the frame's run (no
+// label set when Run is empty), with # TYPE headers emitted once per
+// metric name across all frames.
+func writeMetricsText(w io.Writer, frames []*LiveSample) {
 	bw := bufio.NewWriter(w)
 	typed := map[string]bool{}
-	for fi, f := range frames {
-		l := label(fi, f)
+	for _, f := range frames {
+		var l string
+		if f.Run != "" {
+			l = fmt.Sprintf("{run=%q}", f.Run)
+		}
 		for i, name := range f.Names {
 			pn := promName(name)
 			if !typed[pn] {
@@ -221,17 +227,7 @@ func WriteMetricsText(w io.Writer, frames []*LiveSample, label func(i int, f *Li
 		}
 		fmt.Fprintf(bw, "%s%s %d\n", "nwcache_sim_now_published_pcycles", l, f.Now)
 	}
-	return bw.Flush()
-}
-
-func (s *LiveServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	WriteMetricsText(w, s.set.Frames(), func(_ int, f *LiveSample) string {
-		if f.Run == "" {
-			return ""
-		}
-		return fmt.Sprintf("{run=%q}", f.Run)
-	})
+	bw.Flush()
 }
 
 // seriesFrame is one NDJSON line of the /series stream.
@@ -242,25 +238,18 @@ type seriesFrame struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-func (s *LiveServer) handleSeries(w http.ResponseWriter, r *http.Request) {
-	ServeSeries(w, r, s.set, nil)
-}
-
-// ServeSeries streams set's newly published frames as NDJSON (one
+// handleSeries streams the set's newly published frames as NDJSON (one
 // seriesFrame per line, deduplicated per run by Seq) until the client
-// disconnects or done closes — done is the hook a finite job hands in
-// so the stream terminates with the job (nil: stream forever). After
-// done closes one final sweep drains any frames published in between.
-func ServeSeries(w http.ResponseWriter, r *http.Request, set *LiveSet, done <-chan struct{}) {
+// disconnects.
+func (s *LiveServer) handleSeries(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	last := map[string]int64{} // run -> last streamed Seq
 	ticker := time.NewTicker(100 * time.Millisecond)
 	defer ticker.Stop()
-	closing := false
 	for {
-		for _, f := range set.Frames() {
+		for _, f := range s.set.Frames() {
 			if f.Seq <= last[f.Run] {
 				continue
 			}
@@ -276,14 +265,9 @@ func ServeSeries(w http.ResponseWriter, r *http.Request, set *LiveSet, done <-ch
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if closing {
-			return
-		}
 		select {
 		case <-r.Context().Done():
 			return
-		case <-done:
-			closing = true // one last drain, then out
 		case <-ticker.C:
 		}
 	}

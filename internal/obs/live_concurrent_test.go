@@ -159,29 +159,3 @@ func promValue(tail string) (float64, bool) {
 	v, err := strconv.ParseFloat(tail[i+1:], 64)
 	return v, err == nil
 }
-
-func TestRegisterHostProbes(t *testing.T) {
-	reg := NewRegistry()
-	RegisterHostProbes(reg.Root().Scope("host"))
-	sink := make([]byte, 1<<16) // ensure a live heap to report
-	snap := reg.Snapshot()
-	if v, ok := snap.Get("host.heap_alloc_bytes"); !ok || v.Value <= 0 {
-		t.Fatalf("host.heap_alloc_bytes = %+v, want > 0", v)
-	}
-	if v, ok := snap.Get("host.goroutines"); !ok || v.Value < 1 {
-		t.Fatalf("host.goroutines = %+v, want >= 1", v)
-	}
-	for _, name := range []string{"host.heap_objects", "host.gc_cycles", "host.gc_pause_total_ns"} {
-		if _, ok := snap.Get(name); !ok {
-			t.Fatalf("snapshot missing %s", name)
-		}
-	}
-	_ = sink
-	// Probes feed samplers like any other metric.
-	s := NewSampler(reg, 1, 0)
-	s.Tick(1)
-	if s.Len() != 1 {
-		t.Fatalf("sampler recorded %d points, want 1", s.Len())
-	}
-	RegisterHostProbes(nil) // nil-safe
-}

@@ -1,7 +1,6 @@
 // Package report renders observability artifacts (manifests, series,
 // traces) as self-contained HTML fragments — inline CSS + SVG, no
-// network, no JS. It is the shared rendering layer beneath cmd/nwreport
-// (offline reports) and internal/serve (the job artifact index), and
+// network, no JS. It is the rendering layer beneath cmd/nwreport and
 // holds the one trace analyzer, SummarizeTrace.
 package report
 

@@ -100,16 +100,16 @@ func TestRunnerEmitsLifecycleEvents(t *testing.T) {
 	}
 }
 
-// TestObservedRunIsByteIdentical pins the headline invariant of the
-// service layer: attaching lifecycle events and a live telemetry set —
-// with or without recorded series — changes no artifact byte.
+// TestObservedRunIsByteIdentical pins that observing a shard changes no
+// artifact byte: a run with lifecycle events attached — with or without
+// recorded series — merges to exactly what an unobserved run writes.
 func TestObservedRunIsByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		extra string
 	}{
-		{"live-only-sampler", ""},
-		{"published-record-sampler", "series 200000\n"},
+		{"live-only-sampler", ""},                       // no recorded series
+		{"published-record-sampler", "series 200000\n"}, // recorded series
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := eventsSpec(t, tc.extra)
@@ -117,10 +117,9 @@ func TestObservedRunIsByteIdentical(t *testing.T) {
 
 			runSweep(t, s, bare, 1, 0)
 
-			live := &obs.LiveSet{}
 			var evs []obs.Event
 			r := &Runner{Spec: s, Shard: 0, Shards: 1, Dir: observed,
-				OnEvent: collect(&evs), Live: live, LiveInterval: 50_000}
+				OnEvent: collect(&evs)}
 			if _, err := r.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -129,9 +128,6 @@ func TestObservedRunIsByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if got := len(live.Frames()); got == 0 {
-				t.Fatal("observed run published no live frames")
-			}
 			bareND, bareMan, bareSer := MergedPaths(bare)
 			obsND, obsMan, obsSer := MergedPaths(observed)
 			if !bytes.Equal(readFileT(t, bareND), readFileT(t, obsND)) {

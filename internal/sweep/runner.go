@@ -128,22 +128,9 @@ type Runner struct {
 	// projected from the mean fresh-cell wall time. Events are advisory
 	// telemetry and never touch the artifacts; unset costs nothing.
 	OnEvent func(ev obs.Event)
-	// Live, if set, receives a published live view per fresh cell (the
-	// service layer's /metrics and /series feed). When the spec samples
-	// series the record sampler is published as-is; otherwise a live-only
-	// sampler at LiveInterval is attached, which never reaches the cell's
-	// cache record — merged artifacts stay byte-identical either way.
-	Live *obs.LiveSet
-	// LiveInterval is the live-only sampling interval in pcycles
-	// (<= 0: DefaultLiveInterval). Ignored when the spec samples series.
-	LiveInterval int64
 
 	cache *Cache
 }
-
-// DefaultLiveInterval is the live-only sampler tick period (pcycles)
-// when a Live set is attached but the spec itself samples no series.
-const DefaultLiveInterval = 100_000
 
 // Paths within the sweep directory.
 func (r *Runner) statePath() string {
@@ -256,26 +243,9 @@ func (r *Runner) Run() (Summary, error) {
 		}
 		oc := &obsCapture{reg: obs.NewRegistry()}
 		m.Observe(oc.reg, nil)
-		liveRun := fmt.Sprintf("%s seed=%d", c.Label(), c.Cfg.Seed)
 		if r.Spec.SeriesInterval > 0 {
 			oc.smp = obs.NewSampler(oc.reg, r.Spec.SeriesInterval, 0)
-			if r.Live != nil {
-				// A published view rides the record sampler without
-				// touching its exported values.
-				r.Live.Add(oc.smp.Publish(liveRun))
-			}
 			m.StartSampler(oc.smp)
-		} else if r.Live != nil {
-			// No recorded series: attach a live-only sampler. It is never
-			// exported, so the cell's cache record — and with it every
-			// artifact digest — is exactly what an unobserved run writes.
-			iv := r.LiveInterval
-			if iv <= 0 {
-				iv = DefaultLiveInterval
-			}
-			live := obs.NewSampler(oc.reg, iv, 0)
-			r.Live.Add(live.Publish(liveRun))
-			m.StartSampler(live)
 		}
 		obsMu.Lock()
 		obsByKy[c.Key()] = oc

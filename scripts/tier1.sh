@@ -24,4 +24,8 @@ else
   echo "tier1: staticcheck not installed, skipping (CI runs it)" >&2
 fi
 go test ./...
-go test -race ./internal/sim/... ./internal/exp/pool/... ./internal/machine/... ./internal/obs/... ./internal/core/... ./internal/sweep/... ./internal/guard/... ./internal/serve/...
+go test -race ./internal/sim/... ./internal/exp/pool/... ./internal/machine/... ./internal/obs/... ./internal/core/... ./internal/sweep/... ./internal/guard/...
+# perfbench is a module of its own (replace nwcache => ../), so the
+# commands above never compile it: build and vet it here so a change to
+# the main module cannot silently break the benchmark harness.
+(cd perfbench && go vet ./... && go build -o /dev/null .)
